@@ -12,21 +12,31 @@
 #   2. The merged metrics of a fixed sweep must be byte-identical between
 #      a 1-thread and a 4-thread pool (per-job registries merge in plan
 #      order, never in completion order).
+#   3. The per-core Hydra timelines of `jrpm-run run BitOps --timeline`
+#      under the default, --sync and --line-grain configs, and of Huffman
+#      under --sync (BitOps never waits on a synchronized local; Huffman
+#      does), must hash to the committed sha256 digests (the exports are
+#      too large to commit): every thread lifetime, stall and violation
+#      keeps its cycle.
 #
 # Usage:
 #   scripts/ci_metrics_golden.sh                 # configure+build, then check
 #   scripts/ci_metrics_golden.sh --run-bin <jrpm-run> --sweep-bin <jrpm-sweep> \
-#     --golden <file>
+#     --golden <file> [--timeline-digests <file>]
 #
 # The second form is how the tier-1 ctest suite invokes it (see
 # tools/CMakeLists.txt). To regenerate the golden file after an intentional
 # metrics change:
 #   build/tools/jrpm-run run BitOps --metrics tests/golden/metrics_small.json
+# and after an intentional timeline change, replace each digest in
+# tests/golden/timeline_digests.sha256 with the sha256sum of
+#   build/tools/jrpm-run run <workload> --timeline <file> [mode]
 
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 GOLDEN="${ROOT}/tests/golden/metrics_small.json"
+TIMELINE_DIGESTS="${ROOT}/tests/golden/timeline_digests.sha256"
 
 RUN_BIN=""
 SWEEP_BIN=""
@@ -35,6 +45,7 @@ while [[ $# -gt 0 ]]; do
     --run-bin) RUN_BIN="$2"; shift 2 ;;
     --sweep-bin) SWEEP_BIN="$2"; shift 2 ;;
     --golden) GOLDEN="$2"; shift 2 ;;
+    --timeline-digests) TIMELINE_DIGESTS="$2"; shift 2 ;;
     *) break ;;
   esac
 done
@@ -76,5 +87,22 @@ else
   diff -u "${TMP}/sweep.t1.json" "${TMP}/sweep.t4.json" >&2 || true
   STATUS=1
 fi
+
+# Gate 3: per-core timelines match the committed digests.
+while read -r WORKLOAD MODE DIGEST; do
+  [[ -z "${WORKLOAD}" || "${WORKLOAD}" == \#* ]] && continue
+  ARGS=()
+  [[ "${MODE}" != "default" ]] && ARGS=("${MODE}")
+  "${RUN_BIN}" run "${WORKLOAD}" "${ARGS[@]}" \
+    --timeline "${TMP}/timeline.json" > /dev/null
+  GOT="$(sha256sum "${TMP}/timeline.json" | cut -d' ' -f1)"
+  if [[ "${GOT}" == "${DIGEST}" ]]; then
+    echo "golden-metrics: ${WORKLOAD} ${MODE} timeline matches its digest"
+  else
+    echo "golden-metrics: ${WORKLOAD} ${MODE} timeline digest ${GOT} != ${DIGEST}" >&2
+    STATUS=1
+  fi
+  rm -f "${TMP}/timeline.json"
+done < "${TIMELINE_DIGESTS}"
 
 exit "${STATUS}"

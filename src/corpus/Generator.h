@@ -44,7 +44,10 @@ private:
   front::FuncDef makeHelper(int Index);
 
   std::string freshLoopVar() {
-    CurLoopVar = "i" + std::to_string(NextLoopVar++);
+    // Built by appending to the member rather than as "i" + to_string(...):
+    // GCC 12 at -O3 reports a false -Wrestrict overlap on that operator+.
+    CurLoopVar.assign(1, 'i');
+    CurLoopVar += std::to_string(NextLoopVar++);
     return CurLoopVar;
   }
   const std::string &loopVar() const { return CurLoopVar; }

@@ -3,6 +3,7 @@
 #include "hydra/TlsEngine.h"
 
 #include "hydra/TlsCodegen.h"
+#include "interp/Trap.h"
 #include "support/Bits.h"
 #include "support/Compiler.h"
 
@@ -19,16 +20,18 @@ TlsEngine::TlsEngine(const ir::Module &M, const sim::HydraConfig &Cfg,
   for (jit::TlsLoopPlan &Plan : Plans) {
     PreparedLoop PL;
     PL.Plan = std::move(Plan);
-    HeaderPcIndex[EngineImage.blockStart(PL.Plan.Func, PL.Plan.Header)] =
-        static_cast<std::uint32_t>(Loops.size());
+    HeaderPcs.push_back(EngineImage.blockStart(PL.Plan.Func, PL.Plan.Header));
     Loops.push_back(std::move(PL));
   }
   Threads.resize(Cfg.NumCores);
+  IterCore.assign(Cfg.NumCores, 0);
+  NumIdle = Cfg.NumCores;
   for (std::uint32_t C = 0; C < Cfg.NumCores; ++C) {
     Threads[C].Ctx = std::make_unique<interp::ExecContext>(EngineImage, Cfg);
     Threads[C].L1 = std::make_unique<sim::L1CacheModel>(Cfg);
     Ports.push_back(std::make_unique<SpecPort>(*this, C));
   }
+  buildStopMask();
 }
 
 std::uint32_t TlsEngine::SpecPort::allocWords(std::uint32_t Count) {
@@ -163,22 +166,81 @@ void TlsEngine::prepareLoop(PreparedLoop &PL, interp::Machine &M) {
   EngineImage = exec::CodeImage(EngineModule);
   PL.HeaderPcTls = EngineImage.blockStart(PL.TlsFunc, PL.Plan.Header);
   PL.Ready = true;
+  buildStopMask();
+}
+
+void TlsEngine::buildStopMask() {
+  const std::uint32_t N = EngineImage.numInsts();
+  const sim::CostModel &C = Cfg.Costs;
+  if (!C.Basic || !C.IntDiv || !C.FloatDiv || !C.FloatSqrt ||
+      !C.CallOverhead || !Cfg.LocalAnnoCost) {
+    // A zero-cost instruction still occupies its core for one cycle when
+    // stepped alone; only single-instruction runs reproduce that.
+    StopMask.assign(N, 1);
+    return;
+  }
+  StopMask.assign(N, 0);
+  // Instructions other cores can observe, wherever they run: heap traffic
+  // (forwarding, violations, buffer stalls) and traps (parking keeps their
+  // cycle). Alloc needs no stop: it is fatal in every speculative thread.
+  for (exec::FlatPc Pc = 0; Pc < N; ++Pc) {
+    switch (EngineImage.inst(Pc).Op) {
+    case ir::Opcode::Load:
+    case ir::Opcode::Store:
+    case ir::Opcode::Div:
+    case ir::Opcode::Rem:
+      StopMask[Pc] = 1;
+      break;
+    default:
+      break;
+    }
+  }
+  // Per prepared clone, which runs only at call depth 1: the control
+  // transfers that end an iteration or leave the loop, the blocks they
+  // land on, and returns (a thread leaving the STL's function).
+  for (const PreparedLoop &PL : Loops) {
+    if (!PL.Ready)
+      continue;
+    const exec::FuncDesc &F = EngineImage.func(PL.TlsFunc);
+    auto Ends = [&](exec::FlatPc Target) {
+      return Target == PL.HeaderPcTls ||
+             !PL.Plan.containsBlock(EngineImage.blockOf(Target));
+    };
+    for (std::uint32_t B = 0; B < F.NumBlocks; ++B) {
+      const exec::BlockDesc &BD = EngineImage.blockDesc(F.FirstBlock + B);
+      if (BD.StartPc == PL.HeaderPcTls || !PL.Plan.containsBlock(B))
+        StopMask[BD.StartPc] = 1;
+      const exec::FlatPc TermPc = BD.StartPc + BD.NumInsts - 1;
+      const exec::DecodedInst &T = EngineImage.inst(TermPc);
+      bool Stop = false;
+      switch (T.Op) {
+      case ir::Opcode::Ret:
+        Stop = true;
+        break;
+      case ir::Opcode::Br:
+        Stop = Ends(static_cast<exec::FlatPc>(T.Imm));
+        break;
+      case ir::Opcode::CondBr:
+        Stop = Ends(static_cast<exec::FlatPc>(T.Imm)) ||
+               Ends(static_cast<exec::FlatPc>(T.Imm2));
+        break;
+      default:
+        break;
+      }
+      if (Stop)
+        StopMask[TermPc] = 1;
+    }
+  }
 }
 
 bool TlsEngine::onBlockStart(interp::ExecContext &Ctx, interp::Machine &M) {
-  auto It = HeaderPcIndex.find(Ctx.pc());
-  if (It == HeaderPcIndex.end())
+  auto It = std::find(HeaderPcs.begin(), HeaderPcs.end(), Ctx.pc());
+  if (It == HeaderPcs.end())
     return false;
-  PreparedLoop &PL = Loops[It->second];
+  PreparedLoop &PL = Loops[It - HeaderPcs.begin()];
   prepareLoop(PL, M);
   runLoop(PL, Ctx, M);
   return true;
-}
-
-std::uint32_t TlsEngine::violationKey(std::uint32_t Addr) const {
-  return Cfg.ViolationGrain == sim::ViolationGranularity::Word
-             ? Addr
-             : Addr / Cfg.WordsPerLine;
 }
 
 void TlsEngine::fillSpawnRegs(std::vector<std::uint64_t> &Regs,
@@ -193,11 +255,20 @@ void TlsEngine::fillSpawnRegs(std::vector<std::uint64_t> &Regs,
   }
 }
 
+void TlsEngine::setState(SpecThread &T, SpecThread::St S) {
+  using St = SpecThread::St;
+  NumWaitSync += (S == St::WaitSync);
+  NumWaitSync -= (T.State == St::WaitSync);
+  NumIdle += (S == St::Idle);
+  NumIdle -= (T.State == St::Idle);
+  T.State = S;
+}
+
 void TlsEngine::spawnThread(std::uint32_t Core, std::uint64_t Iter) {
   SpecThread &T = Threads[Core];
-  T.Active = true;
-  T.State = SpecThread::St::Running;
+  setState(T, SpecThread::St::Running);
   T.Iter = Iter;
+  IterCore[Iter % IterCore.size()] = Core;
   T.StoreBuf.clear();
   T.StoreLines.clear();
   T.ReadSet.clear();
@@ -236,9 +307,16 @@ void TlsEngine::squashThread(std::uint32_t Core) {
   T.SpawnOverheadUntil = T.ReadyAt;
 }
 
+void TlsEngine::parkFaulted(std::uint32_t Core) {
+  SpecThread &T = Threads[Core];
+  assert(T.Iter != HeadIter && "a head fault is the program's own");
+  setState(T, SpecThread::St::Faulted);
+}
+
 void TlsEngine::flushStoreBuffer(SpecThread &T) {
-  for (const auto &[Addr, Value] : T.StoreBuf)
+  T.StoreBuf.forEach([this](std::uint32_t Addr, std::uint64_t Value) {
     CurHeap->store(Addr, Value);
+  });
   T.StoreBuf.clear();
   T.StoreLines.clear();
 }
@@ -259,18 +337,17 @@ void TlsEngine::accumulateReductions(SpecThread &T) {
 void TlsEngine::resumeSyncWaiters() {
   for (std::uint32_t C = 0; C < Threads.size(); ++C) {
     SpecThread &T = Threads[C];
-    if (!T.Active || T.State != SpecThread::St::WaitSync)
+    if (T.State != SpecThread::St::WaitSync)
       continue;
-    SpecThread *Pred = nullptr;
-    for (SpecThread &U : Threads)
-      if (U.Active && U.Iter + 1 == T.Iter)
-        Pred = &U;
+    // The predecessor is live iff the waiter is not the head.
+    const SpecThread *Pred =
+        T.Iter != HeadIter ? &Threads[coreOf(T.Iter - 1)] : nullptr;
     bool Ready = !Pred || Pred->State == SpecThread::St::IterDone ||
                  Pred->State == SpecThread::St::Exited ||
-                 Pred->StoreBuf.count(T.SyncAddr);
+                 Pred->StoreBuf.contains(T.SyncAddr);
     if (Ready) {
       closeStall(C);
-      T.State = SpecThread::St::Running;
+      setState(T, SpecThread::St::Running);
       T.ReadyAt = std::max(T.ReadyAt, Cycle);
     }
   }
@@ -279,7 +356,7 @@ void TlsEngine::resumeSyncWaiters() {
 void TlsEngine::recomputeExitCap() {
   ExitCap.reset();
   for (const SpecThread &T : Threads)
-    if (T.Active && T.State == SpecThread::St::Exited)
+    if (T.State == SpecThread::St::Exited)
       ExitCap = ExitCap ? std::min(*ExitCap, T.Iter) : T.Iter;
 }
 
@@ -287,8 +364,6 @@ void TlsEngine::commitThread(std::uint32_t Core) {
   SpecThread &T = Threads[Core];
   flushStoreBuffer(T);
   accumulateReductions(T);
-  T.ReadSet.clear();
-  T.ReadLines.clear();
   ++CurStats->CommittedThreads;
   resolveLifetime(Core, Outcome::Commit);
   ++HeadIter;
@@ -299,55 +374,54 @@ void TlsEngine::commitThread(std::uint32_t Core) {
     T.ReadyAt = Cycle + Cfg.EndOfIterationCycles;
     T.SpawnOverheadUntil = T.ReadyAt;
   } else {
-    T.Active = false;
-    T.State = SpecThread::St::Idle;
+    setState(T, SpecThread::St::Idle);
   }
 }
 
 std::uint64_t TlsEngine::specLoad(std::uint32_t Core, std::uint32_t Addr,
                                   std::uint32_t &Extra) {
   SpecThread &T = Threads[Core];
+  const bool IsHead = T.Iter == HeadIter;
+  // A load outside the heap by a mis-speculated thread must not reach the
+  // heap: park it. The head takes the sequential machine's path.
+  if (!IsHead && Addr >= CurHeap->allocatedWords()) {
+    parkFaulted(Core);
+    RewindPending = true;
+    T.Ctx->requestStop();
+    return 0; // dummy; the load re-issues if the thread becomes the head
+  }
+
   // Own speculative store buffer first.
-  auto Own = T.StoreBuf.find(Addr);
-  if (Own != T.StoreBuf.end())
-    return Own->second;
+  if (const std::uint64_t *Own = T.StoreBuf.find(Addr))
+    return *Own;
 
   // Synchronized carried locals (Section 3.2): spin until the predecessor
   // thread has produced the value instead of speculating through it.
-  if (Cfg.SyncCarriedLocals && T.Iter != HeadIter && Cur->isSpillAddr(Addr)) {
-    for (SpecThread &Pred : Threads) {
-      if (!Pred.Active || Pred.Iter + 1 != T.Iter)
-        continue;
-      bool Produced = Pred.State == SpecThread::St::IterDone ||
-                      Pred.State == SpecThread::St::Exited ||
-                      Pred.StoreBuf.count(Addr);
-      if (!Produced) {
-        T.State = SpecThread::St::WaitSync;
-        T.SyncAddr = Addr;
-        SyncRewindPending = true;
-        ++CurStats->SyncStalls;
-        openStall(Core, SpecThread::Stall::Sync);
-        return 0; // dummy; the load re-issues after the producer stores
-      }
-      break;
+  if (Cfg.SyncCarriedLocals && !IsHead && Cur->isSpillAddr(Addr)) {
+    const SpecThread &Pred = Threads[coreOf(T.Iter - 1)];
+    bool Produced = Pred.State == SpecThread::St::IterDone ||
+                    Pred.State == SpecThread::St::Exited ||
+                    Pred.StoreBuf.contains(Addr);
+    if (!Produced) {
+      setState(T, SpecThread::St::WaitSync);
+      T.SyncAddr = Addr;
+      RewindPending = true;
+      ++CurStats->SyncStalls;
+      openStall(Core, SpecThread::Stall::Sync);
+      T.Ctx->requestStop();
+      return 0; // dummy; the load re-issues after the producer stores
     }
   }
 
   // Forward from the nearest earlier uncommitted thread holding the word.
-  const SpecThread *Source = nullptr;
-  for (const SpecThread &U : Threads) {
-    if (!U.Active || &U == &T || U.Iter >= T.Iter)
-      continue;
-    if (!U.StoreBuf.count(Addr))
-      continue;
-    if (!Source || U.Iter > Source->Iter)
-      Source = &U;
-  }
+  const std::uint64_t *Forwarded = nullptr;
+  for (std::uint64_t It = T.Iter; It-- > HeadIter && !Forwarded;)
+    Forwarded = Threads[coreOf(It)].StoreBuf.find(Addr);
 
   std::uint64_t Value;
-  if (Source) {
+  if (Forwarded) {
     Extra += Cfg.StoreLoadCommCycles;
-    Value = Source->StoreBuf.at(Addr);
+    Value = *Forwarded;
   } else {
     if (!T.L1->access(Addr))
       Extra += Cfg.L2HitExtraCycles;
@@ -355,12 +429,17 @@ std::uint64_t TlsEngine::specLoad(std::uint32_t Core, std::uint32_t Addr,
   }
 
   // Track speculative read state for violation detection and overflow.
-  T.ReadSet.insert(violationKey(Addr));
-  T.ReadLines.insert(Addr / Cfg.WordsPerLine);
-  if (T.ReadLines.size() > Cfg.SpecLoadLines && T.Iter != HeadIter) {
-    T.State = SpecThread::St::WaitHead;
-    ++CurStats->OverflowStalls;
-    openStall(Core, SpecThread::Stall::Buffer);
+  // Only threads after the head are ever checked, and the head stays the
+  // head until it commits, so the head keeps none.
+  if (!IsHead) {
+    T.ReadSet.insert(violationKey(Addr));
+    T.ReadLines.insert(lineOf(Addr));
+    if (T.ReadLines.size() > Cfg.SpecLoadLines) {
+      setState(T, SpecThread::St::WaitHead);
+      ++CurStats->OverflowStalls;
+      openStall(Core, SpecThread::Stall::Buffer);
+      T.Ctx->requestStop();
+    }
   }
   return Value;
 }
@@ -369,35 +448,39 @@ void TlsEngine::specStore(std::uint32_t Core, std::uint32_t Addr,
                           std::uint64_t Value, std::uint32_t &Extra) {
   (void)Extra;
   SpecThread &T = Threads[Core];
-  T.StoreBuf[Addr] = Value;
-  T.StoreLines.insert(Addr / Cfg.WordsPerLine);
+  T.StoreBuf.store(Addr, Value);
+  T.StoreLines.insert(lineOf(Addr));
   if (T.StoreLines.size() > Cfg.SpecStoreLines) {
     if (T.Iter == HeadIter) {
       // The head thread can always drain its buffer safely.
       flushStoreBuffer(T);
     } else {
-      T.State = SpecThread::St::WaitHead;
+      setState(T, SpecThread::St::WaitHead);
       ++CurStats->OverflowStalls;
       openStall(Core, SpecThread::Stall::Buffer);
+      T.Ctx->requestStop();
     }
   }
+  // A sync waiter may be spinning on this store.
+  if (NumWaitSync)
+    Recheck = true;
 
-  // RAW violation detection: any later thread that already consumed this
-  // word restarts, together with everything more speculative than it.
+  // RAW violation detection: the earliest later thread that already
+  // consumed this word restarts, together with everything more
+  // speculative than it.
   std::uint32_t Key = violationKey(Addr);
-  std::optional<std::uint64_t> MinViolated;
-  for (const SpecThread &U : Threads) {
-    if (!U.Active || U.Iter <= T.Iter)
-      continue;
-    if (U.ReadSet.count(Key))
-      MinViolated = MinViolated ? std::min(*MinViolated, U.Iter) : U.Iter;
-  }
-  if (!MinViolated)
+  std::uint64_t MinViolated = T.Iter + 1;
+  while (MinViolated < NextIter &&
+         !Threads[coreOf(MinViolated)].ReadSet.contains(Key))
+    ++MinViolated;
+  if (MinViolated == NextIter)
     return;
   ++CurStats->Violations;
+  Recheck = true;
   bool HadExit = ExitCap.has_value();
   for (std::uint32_t C = 0; C < Threads.size(); ++C)
-    if (Threads[C].Active && Threads[C].Iter >= *MinViolated)
+    if (Threads[C].State != SpecThread::St::Idle &&
+        Threads[C].Iter >= MinViolated)
       squashThread(C);
   if (HadExit)
     recomputeExitCap();
@@ -405,6 +488,7 @@ void TlsEngine::specStore(std::uint32_t Core, std::uint32_t Addr,
 
 void TlsEngine::runLoop(PreparedLoop &PL, interp::ExecContext &Ctx,
                         interp::Machine &M) {
+  using St = SpecThread::St;
   Cur = &PL;
   CurHeap = &M.heap();
   CurStats = &Stats[PL.Plan.LoopId];
@@ -440,95 +524,103 @@ void TlsEngine::runLoop(PreparedLoop &PL, interp::ExecContext &Ctx,
   }
 
   SpecThread *ExitThread = nullptr;
+  const std::uint8_t *Stops = StopMask.data();
   // Guards against engine bugs; generous for the largest loops.
   constexpr std::uint64_t MaxLoopCycles = 20ull * 1000 * 1000 * 1000;
+  // Longest stretch a core runs before yielding to the scheduler. Private
+  // code need not end: a thread that read a stale trip count may loop in
+  // registers until its predecessor's store squashes it, which needs the
+  // other cores to run. The budget is tested at block starts, which are
+  // private unless marked in the mask, and the extra scheduler visit is
+  // one the one-instruction-per-cycle reference makes too.
+  constexpr std::uint64_t RunQuantum = 4096;
   while (true) {
     // Head-state transitions first: resume, commit, or finish.
-    bool HeadHandled = false;
-    for (std::uint32_t C = 0; C < Threads.size(); ++C) {
-      SpecThread &T = Threads[C];
-      if (!T.Active || T.Iter != HeadIter)
-        continue;
-      if (T.State == SpecThread::St::WaitHead) {
-        closeStall(C);
-        T.State = SpecThread::St::Running;
-        T.ReadyAt = std::max(T.ReadyAt, Cycle);
-      } else if (T.State == SpecThread::St::IterDone) {
-        commitThread(C);
-        HeadHandled = true;
-      } else if (T.State == SpecThread::St::Exited) {
-        ExitThread = &T;
-      }
-      break; // exactly one head thread exists
-    }
-    if (ExitThread)
-      break;
-    if (HeadHandled)
+    const std::uint32_t HeadCore = coreOf(HeadIter);
+    SpecThread &H = Threads[HeadCore];
+    if (H.State == St::WaitHead || H.State == St::Faulted) {
+      closeStall(HeadCore);
+      setState(H, St::Running);
+      H.ReadyAt = std::max(H.ReadyAt, Cycle);
+    } else if (H.State == St::IterDone) {
+      commitThread(HeadCore);
       continue;
+    } else if (H.State == St::Exited) {
+      ExitThread = &H;
+      break;
+    }
 
-    resumeSyncWaiters();
+    if (NumWaitSync)
+      resumeSyncWaiters();
 
     // Refill idle cores when iterations are available (iterations past a
     // speculatively-exited thread would only be squashed).
-    for (std::uint32_t C = 0; C < Threads.size(); ++C) {
-      if (Threads[C].Active)
+    for (std::uint32_t C = 0; NumIdle && C < Threads.size(); ++C) {
+      if (Threads[C].State != St::Idle)
         continue;
       if (ExitCap && NextIter >= *ExitCap)
-        continue;
+        break;
       spawnThread(C, NextIter++);
       Threads[C].ReadyAt = Cycle;
     }
 
-    // Step every running thread whose core is free this cycle.
-    bool AnyStep = false;
+    // Run every thread whose core is free this cycle to its next shared
+    // event, in core order.
+    Recheck = false;
     for (std::uint32_t C = 0; C < Threads.size(); ++C) {
       SpecThread &T = Threads[C];
-      if (!T.Active || T.State != SpecThread::St::Running ||
-          T.ReadyAt > Cycle)
+      if (T.State != St::Running || T.ReadyAt > Cycle)
         continue;
-      AnyStep = true;
-      std::uint32_t Cost = T.Ctx->step(*Ports[C], nullptr, Cycle);
+      std::uint64_t Cost;
+      try {
+        Cost = T.Ctx->runToStop(*Ports[C], nullptr, Cycle, Stops,
+                                Cycle + RunQuantum);
+      } catch (const interp::TrapError &) {
+        // Traps are stop instructions, so this one ran first, at its exact
+        // cycle. The head's trap is the sequential program's own.
+        if (T.Iter == HeadIter)
+          throw;
+        parkFaulted(C);
+        continue;
+      }
       T.ReadyAt = Cycle + Cost;
-      if (SyncRewindPending) {
-        // The load could not be satisfied yet: undo it; it re-issues when
-        // resumeSyncWaiters() releases the thread.
-        SyncRewindPending = false;
+      if (RewindPending) {
+        // The load could not be satisfied: undo it so it re-issues when
+        // the thread is released.
+        RewindPending = false;
         T.Ctx->rewindTop();
         continue;
       }
       if (T.Ctx->finished())
         JRPM_FATAL("speculative thread returned out of the STL's function");
-      // specLoad/specStore may have stalled the thread; control transfers
-      // are inspected only at the loop's own call depth.
-      if (T.State == SpecThread::St::Running && T.Ctx->callDepth() == 1 &&
+      // Control transfers are inspected only at the loop's own call depth.
+      if (T.State == St::Running && T.Ctx->callDepth() == 1 &&
           T.Ctx->atBlockStart()) {
         exec::FlatPc Pc = T.Ctx->pc();
         if (Pc == PL.HeaderPcTls) {
-          T.State = SpecThread::St::IterDone;
+          setState(T, St::IterDone);
+          Recheck = true;
         } else {
           std::uint32_t B = EngineImage.blockOf(Pc);
           if (!PL.Plan.containsBlock(B)) {
-            T.State = SpecThread::St::Exited;
+            setState(T, St::Exited);
             T.ExitBlock = B;
             recomputeExitCap();
+            Recheck = true;
           }
         }
       }
     }
 
-    if (AnyStep) {
-      ++Cycle;
-    } else {
-      // Jump to the next time a core becomes ready.
-      std::uint64_t Next = ~std::uint64_t(0);
+    // Visit the next cycle if a transition may be due there; otherwise no
+    // state the transitions test can change before the next core is
+    // ready, so jump straight to it.
+    std::uint64_t Next = ~std::uint64_t(0);
+    if (!Recheck)
       for (const SpecThread &T : Threads)
-        if (T.Active && T.State == SpecThread::St::Running)
+        if (T.State == St::Running)
           Next = std::min(Next, T.ReadyAt);
-      if (Next == ~std::uint64_t(0))
-        ++Cycle; // everyone is waiting on the head; transitions above apply
-      else
-        Cycle = std::max(Cycle + 1, Next);
-    }
+    Cycle = Next == ~std::uint64_t(0) ? Cycle + 1 : std::max(Cycle + 1, Next);
     if (Cycle > MaxLoopCycles)
       JRPM_FATAL("TLS loop exceeded the cycle watchdog (engine livelock?)");
   }
@@ -538,7 +630,7 @@ void TlsEngine::runLoop(PreparedLoop &PL, interp::ExecContext &Ctx,
   // [LoopStartupCycles, Cycle] without overlap, so the remainder is idle
   // time and the six buckets sum to exactly NumCores * final SpecCycles.
   for (std::uint32_t C = 0; C < Threads.size(); ++C) {
-    if (!Threads[C].Active)
+    if (Threads[C].State == St::Idle)
       continue;
     resolveLifetime(C, &Threads[C] == ExitThread ? Outcome::Exit
                                                  : Outcome::Discard);
@@ -561,14 +653,9 @@ void TlsEngine::runLoop(PreparedLoop &PL, interp::ExecContext &Ctx,
     FinalRegs[PL.Plan.Reductions[K].first] = ReductionAcc[K];
 
   std::uint32_t ExitBlock = T.ExitBlock;
-  for (SpecThread &U : Threads) {
-    U.Active = false;
-    U.State = SpecThread::St::Idle;
-    U.StoreBuf.clear();
-    U.StoreLines.clear();
-    U.ReadSet.clear();
-    U.ReadLines.clear();
-  }
+  // Spawns clear the speculative tables, so only the states need resetting.
+  for (SpecThread &U : Threads)
+    setState(U, St::Idle);
 
   Cycle += Cfg.LoopShutdownCycles;
   CurStats->SpecCycles += Cycle;

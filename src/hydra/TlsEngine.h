@@ -10,12 +10,19 @@
 // becomes the head, and the head thread committing the loop-exit path ends
 // the STL. Fixed overheads follow Table 2.
 //
+// Each core runs from one shared event to the next (ExecContext::runToStop
+// over a per-flat-PC stop mask), and the scheduler visits only the cycles
+// at which some core reaches one; DESIGN.md argues why every cross-core
+// event keeps the (cycle, core) slot a one-instruction-per-cycle schedule
+// would give it.
+//
 //===----------------------------------------------------------------------===//
 
 #ifndef JRPM_HYDRA_TLSENGINE_H
 #define JRPM_HYDRA_TLSENGINE_H
 
 #include "exec/CodeImage.h"
+#include "hydra/EpochTable.h"
 #include "interp/ExecContext.h"
 #include "interp/Machine.h"
 #include "jit/TlsPlan.h"
@@ -28,8 +35,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace jrpm {
@@ -75,6 +80,9 @@ public:
   TlsEngine(const ir::Module &M, const sim::HydraConfig &Cfg,
             std::vector<jit::TlsLoopPlan> Plans);
 
+  const std::vector<exec::FlatPc> &dispatchPcs() const override {
+    return HeaderPcs;
+  }
   bool onBlockStart(interp::ExecContext &Ctx, interp::Machine &M) override;
 
   const std::map<std::uint32_t, TlsLoopRunStats> &loopStats() const {
@@ -114,12 +122,24 @@ private:
     }
   };
 
-  /// One core's speculative thread state.
+  /// One core's speculative thread state. A core holds a live thread in
+  /// every state but Idle.
   struct SpecThread {
-    enum class St { Idle, Running, WaitHead, WaitSync, IterDone, Exited };
+    /// Faulted: the thread trapped (or loaded outside the heap) while not
+    /// the head. It stays parked on the faulting instruction until a
+    /// squash discards the fault or it becomes the head and re-executes
+    /// the instruction, so only a fault of the sequential program surfaces.
+    enum class St {
+      Idle,
+      Running,
+      WaitHead,
+      WaitSync,
+      IterDone,
+      Exited,
+      Faulted
+    };
     enum class Stall { None, Buffer, Sync };
     St State = St::Idle;
-    bool Active = false;
     std::uint64_t Iter = 0;
     std::uint64_t ReadyAt = 0;
     std::uint32_t ExitBlock = 0;
@@ -136,10 +156,11 @@ private:
     std::uint64_t SyncStallAcc = 0;
     std::unique_ptr<interp::ExecContext> Ctx;
     std::unique_ptr<sim::L1CacheModel> L1;
-    std::unordered_map<std::uint32_t, std::uint64_t> StoreBuf;
-    std::unordered_set<std::uint32_t> StoreLines;
-    std::unordered_set<std::uint32_t> ReadSet;
-    std::unordered_set<std::uint32_t> ReadLines;
+    StoreBuffer StoreBuf;
+    EpochIndex StoreLines;
+    /// Read state (violation keys and lines); never kept for the head.
+    EpochIndex ReadSet;
+    EpochIndex ReadLines;
   };
 
   /// MemoryPort adapter binding a core index to the engine.
@@ -179,7 +200,22 @@ private:
   void specStore(std::uint32_t Core, std::uint32_t Addr, std::uint64_t Value,
                  std::uint32_t &Extra);
 
+  /// Rebuilds StopMask over EngineImage: see DESIGN.md for the event
+  /// model it encodes.
+  void buildStopMask();
+
   // --- runLoop helpers (valid only during runLoop) -------------------------
+  /// Every State write goes through here to keep the WaitSync and Idle
+  /// counts the scheduler tests instead of scanning the cores.
+  void setState(SpecThread &T, SpecThread::St S);
+  /// Core running iteration \p Iter. Live iterations are exactly
+  /// [HeadIter, NextIter), at most NumCores of them, so Iter mod NumCores
+  /// names a unique core.
+  std::uint32_t coreOf(std::uint64_t Iter) const {
+    return IterCore[Iter % IterCore.size()];
+  }
+  /// Parks \p Core's non-head thread on a fault (see St::Faulted).
+  void parkFaulted(std::uint32_t Core);
   /// Fills \p Regs (a recycled buffer; capacity is reused) with the spawn
   /// register file for iteration \p Iter.
   void fillSpawnRegs(std::vector<std::uint64_t> &Regs,
@@ -192,7 +228,14 @@ private:
   void flushStoreBuffer(SpecThread &T);
   void accumulateReductions(SpecThread &T);
   void recomputeExitCap();
-  std::uint32_t violationKey(std::uint32_t Addr) const;
+  std::uint32_t violationKey(std::uint32_t Addr) const {
+    return Cfg.ViolationGrain == sim::ViolationGranularity::Word
+               ? Addr
+               : lineOf(Addr);
+  }
+  std::uint32_t lineOf(std::uint32_t Addr) const {
+    return Addr / Cfg.WordsPerLine;
+  }
 
   /// Held by value (reentrancy audit): sweep jobs build engines from
   /// per-job configs in temporaries; a reference member would dangle.
@@ -201,16 +244,19 @@ private:
   /// Image of EngineModule, rebuilt by assignment whenever prepareLoop
   /// appends a clone. Appending keeps every existing flat PC stable
   /// (finalize numbers instructions in function order), so PCs cached in
-  /// HeaderPcIndex and in already-prepared loops stay valid, and the spec
+  /// HeaderPcs and in already-prepared loops stay valid, and the spec
   /// contexts reference this member by address across rebuilds.
   exec::CodeImage EngineImage;
   std::vector<PreparedLoop> Loops;
-  /// Sequential-image flat PC of each selected loop's header block start.
-  /// The sequential machine's context and EngineImage are compiled from
-  /// content-identical modules, so their flat PCs agree and onBlockStart
-  /// dispatches on a single integer lookup.
-  std::unordered_map<exec::FlatPc, std::uint32_t> HeaderPcIndex;
+  /// Sequential-image flat PC of each selected loop's header block start,
+  /// indexed like Loops. The sequential machine's context and EngineImage
+  /// are compiled from content-identical modules, so their flat PCs agree;
+  /// the machine stops only at these PCs.
+  std::vector<exec::FlatPc> HeaderPcs;
   std::map<std::uint32_t, TlsLoopRunStats> Stats;
+  /// One byte per EngineImage instruction: nonzero where a core's run
+  /// must stop so the instruction executes at its exact cycle.
+  std::vector<std::uint8_t> StopMask;
 
   // Live state of the current runLoop invocation.
   interp::Heap *CurHeap = nullptr;
@@ -218,6 +264,16 @@ private:
   TlsLoopRunStats *CurStats = nullptr;
   std::vector<SpecThread> Threads; // one per core
   std::vector<std::unique_ptr<SpecPort>> Ports;
+  std::vector<std::uint32_t> IterCore; // see coreOf()
+  std::uint32_t NumWaitSync = 0;
+  std::uint32_t NumIdle = 0;
+  /// Set when a core's run may have enabled a head, sync-resume or refill
+  /// transition (a thread finished its iteration or left the loop, a
+  /// violation squashed threads, or a store landed while a sync waiter
+  /// exists), so the scheduler visits the next cycle to apply it. Stalls
+  /// and parked faults enable none: a stalled or parked thread only moves
+  /// again through another thread's event, which sets this itself.
+  bool Recheck = false;
   std::uint64_t Cycle = 0;
   std::uint64_t HeadIter = 0;
   std::uint64_t NextIter = 0;
@@ -228,9 +284,10 @@ private:
   /// activation's file via ExecContext::resetAtPc and reuses it for the
   /// next spawn instead of allocating per iteration.
   std::vector<std::vector<std::uint64_t>> RegPool;
-  /// Set by specLoad when a synchronized load must be retried; runLoop
-  /// rewinds the context so the load re-issues after the producer stores.
-  bool SyncRewindPending = false;
+  /// Set by specLoad when a load must be retried (a synchronized load
+  /// whose producer has not stored yet, or a parked fault); runLoop rewinds
+  /// the context so the load re-issues later.
+  bool RewindPending = false;
 
   // Observability state. CoreBusy accumulates resolved lifetime lengths per
   // core within the current invocation; what remains of the invocation's

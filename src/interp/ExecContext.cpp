@@ -75,8 +75,11 @@ ExecContext::resetAtPc(exec::FlatPc Pc, std::vector<std::uint64_t> Regs) {
 template <ExecContext::StepMode Mode>
 std::uint64_t ExecContext::stepImpl(MemoryPort &Mem, TraceSink *Sink,
                                     std::uint64_t Now,
-                                    std::uint64_t MaxCycles) {
+                                    std::uint64_t MaxCycles,
+                                    const std::uint8_t *StopMask) {
   assert(!Frames.empty() && "stepping a finished context");
+  if constexpr (Mode == StepMode::ToStop)
+    StopRequested = false;
   const exec::DecodedInst *Insts = Image.insts();
   const sim::CostModel &Costs = Cfg.Costs;
   std::uint64_t Total = 0;
@@ -132,6 +135,20 @@ std::uint64_t ExecContext::stepImpl(MemoryPort &Mem, TraceSink *Sink,
     goto *JumpTable[static_cast<std::uint8_t>(I->Op)];                       \
   } while (0)
 
+// A memory-port callback may ask a stop-mask run to end right after the
+// current load or store (the Pc has already advanced past it).
+#define JRPM_MEM_DONE()                                                      \
+  do {                                                                       \
+    if constexpr (Mode == StepMode::ToStop) {                                \
+      if (StopRequested) {                                                   \
+        Total += Cost;                                                       \
+        F->Pc = Pc;                                                          \
+        JRPM_RETURN(Total);                                                  \
+      }                                                                      \
+    }                                                                        \
+    JRPM_NEXT();                                                             \
+  } while (0)
+
 #define JRPM_NEXT()                                                          \
   do {                                                                       \
     Total += Cost;                                                           \
@@ -140,14 +157,16 @@ std::uint64_t ExecContext::stepImpl(MemoryPort &Mem, TraceSink *Sink,
       JRPM_RETURN(Total);                                                    \
     }                                                                        \
     Now += Cost;                                                             \
-    if (Insts[Pc].Flags & exec::DecodedInst::BlockStartFlag) {               \
-      if constexpr (Mode == StepMode::Block) {                               \
-        F->Pc = Pc;                                                          \
-        JRPM_RETURN(Total);                                                  \
-      } else if (Now > MaxCycles) { /* budget test once per block */         \
+    if constexpr (Mode == StepMode::ToStop) {                                \
+      if (StopMask[Pc]) {                                                    \
         F->Pc = Pc;                                                          \
         JRPM_RETURN(Total);                                                  \
       }                                                                      \
+    }                                                                        \
+    if ((Insts[Pc].Flags & exec::DecodedInst::BlockStartFlag) &&             \
+        Now > MaxCycles) { /* budget test once per block */                  \
+      F->Pc = Pc;                                                            \
+      JRPM_RETURN(Total);                                                    \
     }                                                                        \
     JRPM_FETCH();                                                            \
   } while (0)
@@ -308,7 +327,7 @@ Op_Load: {
   if (Sink)
     Cost += emitHeapLoad(*Sink, Blk, Addr, Now, I->Pc);
   ++Pc;
-  JRPM_NEXT();
+  JRPM_MEM_DONE();
 }
 Op_Store: {
   std::uint64_t Ea = static_cast<std::uint64_t>(I->Imm);
@@ -323,7 +342,7 @@ Op_Store: {
   if (Sink)
     Cost += emitHeapStore(*Sink, Blk, Addr, Now, I->Pc);
   ++Pc;
-  JRPM_NEXT();
+  JRPM_MEM_DONE();
 }
 Op_Alloc: {
   std::uint32_t Count = I->A != ir::NoReg
@@ -364,12 +383,16 @@ Op_Call: {
   F = &Frames.back();
   Pc = F->Pc;
   Total += Cost;
-  // The callee entry is a function's first block start, so block-granular
-  // stepping stops here just like single stepping does.
+  // The callee entry is a function's first block start, where the
+  // multi-instruction modes test their budget.
   assert(Insts[Pc].Flags & exec::DecodedInst::BlockStartFlag);
-  if constexpr (Mode == StepMode::Run) {
+  if constexpr (Mode == StepMode::Run || Mode == StepMode::ToStop) {
     Regs = F->Regs.data();
     Now += Cost;
+    if constexpr (Mode == StepMode::ToStop) {
+      if (StopMask[Pc])
+        JRPM_RETURN(Total);
+    }
     if (Now > MaxCycles)
       JRPM_RETURN(Total); // F->Pc already holds the callee entry
     JRPM_FETCH();
@@ -399,12 +422,13 @@ Op_Ret: {
   if constexpr (Mode == StepMode::Single)
     JRPM_RETURN(Total);
   Now += Cost;
-  if (Insts[Pc].Flags & exec::DecodedInst::BlockStartFlag) {
-    if constexpr (Mode == StepMode::Block)
-      JRPM_RETURN(Total);
-    else if (Now > MaxCycles)
+  if constexpr (Mode == StepMode::ToStop) {
+    if (StopMask[Pc])
       JRPM_RETURN(Total);
   }
+  if ((Insts[Pc].Flags & exec::DecodedInst::BlockStartFlag) &&
+      Now > MaxCycles)
+    JRPM_RETURN(Total);
   JRPM_FETCH();
 }
 // Annotation instructions cost one cycle by themselves (the nop they
@@ -453,6 +477,7 @@ Op_Nop:
   ++Pc;
   JRPM_NEXT();
 
+#undef JRPM_MEM_DONE
 #undef JRPM_NEXT
 #undef JRPM_FETCH
 #undef JRPM_RETURN
@@ -750,14 +775,16 @@ Op_Nop:
       return Total;
     }
     Now += Cost;
-    if (Insts[Pc].Flags & exec::DecodedInst::BlockStartFlag) {
-      if constexpr (Mode == StepMode::Block) {
-        F->Pc = Pc;
-        return Total;
-      } else if (Now > MaxCycles) { // budget test once per block
+    if constexpr (Mode == StepMode::ToStop) {
+      if (StopMask[Pc] || StopRequested) {
         F->Pc = Pc;
         return Total;
       }
+    }
+    if ((Insts[Pc].Flags & exec::DecodedInst::BlockStartFlag) &&
+        Now > MaxCycles) { // budget test once per block
+      F->Pc = Pc;
+      return Total;
     }
   }
 
@@ -770,10 +797,11 @@ std::uint32_t ExecContext::step(MemoryPort &Mem, TraceSink *Sink,
       stepImpl<StepMode::Single>(Mem, Sink, Now, 0));
 }
 
-std::uint32_t ExecContext::stepBlock(MemoryPort &Mem, TraceSink *Sink,
-                                     std::uint64_t Now) {
-  return static_cast<std::uint32_t>(
-      stepImpl<StepMode::Block>(Mem, Sink, Now, 0));
+std::uint64_t ExecContext::runToStop(MemoryPort &Mem, TraceSink *Sink,
+                                     std::uint64_t Now,
+                                     const std::uint8_t *StopMask,
+                                     std::uint64_t MaxCycles) {
+  return stepImpl<StepMode::ToStop>(Mem, Sink, Now, MaxCycles, StopMask);
 }
 
 std::uint64_t ExecContext::run(MemoryPort &Mem, TraceSink *Sink,

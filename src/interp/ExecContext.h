@@ -8,12 +8,13 @@
 // Frames hold a single flat program counter into the image instead of the
 // historical (function, block, instruction) triple; block and function
 // identity are recovered from the image's side tables only at control-flow
-// boundaries. step() executes exactly one instruction (the TLS engine
-// schedules cores cycle by cycle); stepBlock() runs to the next block
-// start, which is what the sequential machine wants between dispatcher
-// checks; run() executes to completion (or a cycle budget) without ever
-// leaving the dispatch loop, for sequential runs with no dispatcher
-// attached.
+// boundaries. step() executes exactly one instruction (the reference
+// granularity the others are tested against); runToStop() runs until the
+// next instruction marked in a caller-supplied per-flat-PC stop mask,
+// which is how the TLS engine runs a core to its next shared event and
+// how the sequential machine runs between a dispatcher's loop headers;
+// run() executes to completion (or a cycle budget) without ever leaving
+// the dispatch loop, for sequential runs with no dispatcher attached.
 //
 //===----------------------------------------------------------------------===//
 
@@ -115,42 +116,53 @@ public:
   /// undefined operation (divide/remainder by zero).
   std::uint32_t step(MemoryPort &Mem, TraceSink *Sink, std::uint64_t Now);
 
-  /// Executes instructions until the next block start (or until the
-  /// program finishes), accumulating \p Now per instruction exactly as a
-  /// sequence of step() calls would; returns the total cycles consumed.
-  /// The context is at a block start (or finished) on return, so callers
-  /// need to consult dispatchers only once per block.
-  std::uint32_t stepBlock(MemoryPort &Mem, TraceSink *Sink,
-                          std::uint64_t Now);
-
   /// Executes until the program finishes or the running clock (starting at
   /// \p Now, advanced per instruction) exceeds \p MaxCycles — the budget is
-  /// tested at block starts, matching a stepBlock() loop that checks after
-  /// every block. Returns the total cycles consumed. Equivalent to a
-  /// step() loop cycle for cycle, but never leaves the dispatch loop, so
-  /// sequential runs pay no per-block call boundary.
+  /// tested at block starts. Returns the total cycles consumed. Equivalent
+  /// to a step() loop cycle for cycle, but never leaves the dispatch loop,
+  /// so sequential runs pay no per-block call boundary.
   std::uint64_t run(MemoryPort &Mem, TraceSink *Sink, std::uint64_t Now,
                     std::uint64_t MaxCycles);
 
+  /// Executes the instruction at the current PC, then keeps executing
+  /// until the next instruction whose flat PC is set in \p StopMask (one
+  /// byte per image instruction), until a memory-port callback calls
+  /// requestStop(), until the program finishes, or until the running
+  /// clock exceeds \p MaxCycles at a block start. Returns the summed
+  /// cycles, which equal the sum of the step() costs of the same
+  /// instructions. The instruction the run stops in front of is not
+  /// executed; it starts the next run.
+  std::uint64_t runToStop(MemoryPort &Mem, TraceSink *Sink, std::uint64_t Now,
+                          const std::uint8_t *StopMask,
+                          std::uint64_t MaxCycles = ~std::uint64_t(0));
+
+  /// Ends the current runToStop() right after the load or store whose
+  /// memory-port callback makes this call (the TLS engine stalls or
+  /// rewinds the thread there). Has no effect on the other granularities.
+  void requestStop() { StopRequested = true; }
+
   /// Rewinds the innermost frame by one instruction, undoing the program
-  /// counter advance of the last step(). Only valid when that step did not
-  /// transfer control (loads/stores/arithmetic) — the TLS engine uses this
-  /// to re-issue a load whose value is not yet available under
-  /// synchronized local communication.
+  /// counter advance of the last executed instruction (a step(), or a
+  /// runToStop() that stopped on request after a load). Only valid when
+  /// that instruction did not transfer control (loads/stores/arithmetic) —
+  /// the TLS engine uses this to re-issue a load whose value is not yet
+  /// available under synchronized local communication, or that a parked
+  /// thread must re-execute.
   void rewindTop() {
     Frame &F = Frames.back();
     assert(!Image.isBlockStart(F.Pc) && "cannot rewind across a block boundary");
     --F.Pc;
   }
 
-  /// Execution granularity of stepImpl: one instruction, one basic block,
-  /// or a whole run bounded by a cycle budget.
-  enum class StepMode : std::uint8_t { Single, Block, Run };
+  /// Execution granularity of stepImpl: one instruction, up to a
+  /// stop-mask instruction, or a whole run bounded by a cycle budget.
+  enum class StepMode : std::uint8_t { Single, ToStop, Run };
 
 private:
   template <StepMode Mode>
   std::uint64_t stepImpl(MemoryPort &Mem, TraceSink *Sink, std::uint64_t Now,
-                         std::uint64_t MaxCycles);
+                         std::uint64_t MaxCycles,
+                         const std::uint8_t *StopMask = nullptr);
 
   std::shared_ptr<const exec::CodeImage> OwnedImage; ///< null when external
   const exec::CodeImage &Image;
@@ -159,6 +171,7 @@ private:
   std::uint64_t RetVal = 0;
   std::uint64_t Executed = 0;
   std::uint64_t NextActivation = 1;
+  bool StopRequested = false;
 };
 
 } // namespace interp

@@ -18,24 +18,26 @@ RunResult Machine::run(const std::vector<std::uint64_t> &Args) {
   // Watchdog against runaway programs: generous for our largest workloads.
   constexpr std::uint64_t MaxCycles = 40ull * 1000 * 1000 * 1000;
   if (!Dispatcher) {
-    // Nothing to consult between blocks: stay inside the interpreter's
-    // dispatch loop for the whole run. The context tests the watchdog at
-    // block starts, exactly where the stepBlock() loop below would.
+    // Nothing to consult: stay inside the interpreter's dispatch loop for
+    // the whole run. The context tests the watchdog at block starts.
     Clock += Ctx.run(Port, Sink, Clock, MaxCycles);
-    if (Clock > MaxCycles)
-      JRPM_FATAL("simulation exceeded the cycle watchdog");
+  } else {
+    // Stop only where the dispatcher may take over (its loop headers);
+    // every other block runs straight through the dispatch loop. Headers
+    // are block starts, where the watchdog is tested too.
+    std::vector<std::uint8_t> Stops(Ctx.image().numInsts(), 0);
+    for (exec::FlatPc Pc : Dispatcher->dispatchPcs())
+      Stops[Pc] = 1;
+    while (!Ctx.finished()) {
+      if (Stops[Ctx.pc()] && Dispatcher->onBlockStart(Ctx, *this))
+        continue;
+      Clock += Ctx.runToStop(Port, Sink, Clock, Stops.data(), MaxCycles);
+      if (Clock > MaxCycles)
+        break;
+    }
   }
-  // Block-granular loop: start(), stepBlock(), and dispatcher repositioning
-  // all leave the context at a block start, so the dispatcher check runs
-  // once per block instead of once per instruction.
-  while (!Ctx.finished()) {
-    assert(Ctx.atBlockStart() && "run loop invariant");
-    if (Dispatcher && Dispatcher->onBlockStart(Ctx, *this))
-      continue;
-    Clock += Ctx.stepBlock(Port, Sink, Clock);
-    if (Clock > MaxCycles)
-      JRPM_FATAL("simulation exceeded the cycle watchdog");
-  }
+  if (Clock > MaxCycles)
+    JRPM_FATAL("simulation exceeded the cycle watchdog");
   // The final return's call-return marker may still be deferred in a
   // batched sink's event block; flush it before anyone reads results.
   if (Sink)

@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace jrpm {
 namespace metrics {
@@ -30,11 +31,16 @@ namespace interp {
 
 class Machine;
 
-/// Hook invoked whenever sequential execution reaches the start of a basic
-/// block; the Hydra engine uses it to take over selected loop headers.
+/// Hook invoked when sequential execution reaches one of the block starts
+/// the dispatcher names; the Hydra engine uses it to take over selected
+/// loop headers.
 class LoopDispatcher {
 public:
   virtual ~LoopDispatcher() = default;
+
+  /// Flat PCs (block starts of the machine's image) at which the machine
+  /// calls onBlockStart(); it runs straight through every other PC.
+  virtual const std::vector<exec::FlatPc> &dispatchPcs() const = 0;
 
   /// Returns true if the dispatcher executed the loop speculatively: the
   /// context is then positioned at the loop exit and the consumed cycles

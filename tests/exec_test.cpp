@@ -4,7 +4,7 @@
 // digest-keyed sharing), the flat-PC ExecContext surface the TLS engine
 // depends on (startAt with an oversized register file, rewindTop re-issue,
 // repositionTop at a loop exit), deterministic divide-by-zero traps, and
-// step()/stepBlock() equivalence on random programs.
+// step()/runToStop()/run() equivalence on random programs.
 //
 //===----------------------------------------------------------------------===//
 
@@ -45,6 +45,83 @@ ir::Module makeCallProgram() {
   P.Functions.push_back(std::move(Helper));
   P.Functions.push_back(std::move(Main));
   return lowerProgram(P);
+}
+
+/// Stop mask marking every block start of \p Image: runToStop() over it
+/// executes one basic block at a time.
+std::vector<std::uint8_t> blockStarts(const exec::CodeImage &Image) {
+  std::vector<std::uint8_t> Mask(Image.numInsts());
+  for (exec::FlatPc Pc = 0; Pc < Mask.size(); ++Pc)
+    Mask[Pc] = Image.isBlockStart(Pc);
+  return Mask;
+}
+
+/// Direct port that, when bound to a context, asks it to stop after every
+/// load, as the TLS engine does when a load stalls its thread.
+class StopAfterLoadPort : public interp::DirectMemoryPort {
+public:
+  StopAfterLoadPort(interp::Heap &H, const sim::HydraConfig &Cfg)
+      : DirectMemoryPort(H, Cfg) {}
+  interp::ExecContext *Ctx = nullptr;
+  std::uint64_t load(std::uint32_t Addr, std::uint32_t &Extra) override {
+    if (Ctx)
+      Ctx->requestStop();
+    return DirectMemoryPort::load(Addr, Extra);
+  }
+};
+
+/// Runs \p M to completion twice, once by runToStop() over \p Mask and
+/// once by step(). At every stop the step() context, advanced over the
+/// same instructions, must agree on PC, frame depth, registers and
+/// summed cycles; the run must stop in front of a masked PC (or after a
+/// load when \p StopAfterLoads), and never pass one. Returns the number
+/// of runs.
+std::uint64_t expectRunToStopMatchesStep(const ir::Module &M,
+                                         const std::vector<std::uint8_t> &Mask,
+                                         bool StopAfterLoads,
+                                         const std::string &Label) {
+  sim::HydraConfig Cfg;
+  interp::Heap H1, H2;
+  interp::DirectMemoryPort Port1(H1, Cfg);
+  StopAfterLoadPort Port2(H2, Cfg);
+  interp::ExecContext Ref(M, Cfg), Run(M, Cfg);
+  Port2.Ctx = StopAfterLoads ? &Run : nullptr;
+  Ref.start(M.EntryFunction, {});
+  Run.start(M.EntryFunction, {});
+  EXPECT_EQ(Mask.size(), Run.image().numInsts()) << Label;
+  std::uint64_t RefClock = 0, RunClock = 0, Runs = 0;
+  while (!Run.finished()) {
+    ++Runs;
+    RunClock += Run.runToStop(Port2, nullptr, RunClock, Mask.data());
+    bool LastWasLoad = false;
+    bool First = true;
+    while (Ref.instructionsExecuted() < Run.instructionsExecuted()) {
+      if (!First) {
+        EXPECT_FALSE(Mask[Ref.pc()])
+            << Label << ": ran past a stop at pc " << Ref.pc();
+        EXPECT_FALSE(StopAfterLoads && LastWasLoad)
+            << Label << ": ran past a requested stop";
+      }
+      First = false;
+      LastWasLoad = Ref.image().inst(Ref.pc()).Op == ir::Opcode::Load;
+      RefClock += Ref.step(Port1, nullptr, RefClock);
+    }
+    EXPECT_EQ(RefClock, RunClock) << Label << " run " << Runs;
+    EXPECT_EQ(Ref.finished(), Run.finished()) << Label << " run " << Runs;
+    if (Run.finished())
+      break;
+    EXPECT_TRUE(Mask[Run.pc()] || (StopAfterLoads && LastWasLoad))
+        << Label << ": stopped at an unmarked pc " << Run.pc();
+    EXPECT_EQ(Ref.pc(), Run.pc()) << Label << " run " << Runs;
+    EXPECT_EQ(Ref.callDepth(), Run.callDepth()) << Label << " run " << Runs;
+    EXPECT_EQ(Ref.topRegs(), Run.topRegs()) << Label << " run " << Runs;
+    if (::testing::Test::HasFailure())
+      break;
+  }
+  EXPECT_TRUE(Ref.finished()) << Label;
+  EXPECT_EQ(Ref.returnValue(), Run.returnValue()) << Label;
+  EXPECT_EQ(Ref.instructionsExecuted(), Run.instructionsExecuted()) << Label;
+  return Runs;
 }
 
 } // namespace
@@ -238,15 +315,16 @@ TEST(ExecContext, StepGranularitiesAgreeOnRandomPrograms) {
     while (!C1.finished())
       Clock1 += C1.step(Port1, nullptr, Clock1);
 
-    // One block at a time.
+    // One block at a time: every block start is a stop.
     interp::Heap H2;
     interp::DirectMemoryPort Port2(H2, Cfg);
     interp::ExecContext C2(M, Cfg);
+    const std::vector<std::uint8_t> Blocks = blockStarts(C2.image());
     C2.start(M.EntryFunction, {});
     std::uint64_t Clock2 = 0;
     while (!C2.finished()) {
       ASSERT_TRUE(C2.atBlockStart());
-      Clock2 += C2.stepBlock(Port2, nullptr, Clock2);
+      Clock2 += C2.runToStop(Port2, nullptr, Clock2, Blocks.data());
     }
 
     // Whole run under a cycle budget: resuming after a budget return must
@@ -276,6 +354,76 @@ TEST(ExecContext, StepGranularitiesAgreeOnRandomPrograms) {
     EXPECT_EQ(C2.returnValue(), Machine.ReturnValue) << "seed " << Seed;
     EXPECT_EQ(C3.returnValue(), Machine.ReturnValue) << "seed " << Seed;
   }
+}
+
+TEST(ExecContext, RunToStopAgreesWithStepForArbitraryMasks) {
+  // Random masks of several densities over random programs, including the
+  // empty mask (one run to completion) and the full mask (one instruction
+  // per run).
+  for (std::uint64_t Seed = 1; Seed <= 6; ++Seed) {
+    testutil::ProgramGenerator Gen(Seed);
+    ir::Module M = Gen.generate();
+    const std::uint32_t N = exec::CodeImage(M).numInsts();
+    std::uint64_t Rng = Seed * 0x9E3779B97F4A7C15ull;
+    for (std::uint32_t Density : {0u, 3u, 20u, 60u, 100u}) {
+      std::vector<std::uint8_t> Mask(N);
+      for (std::uint8_t &B : Mask) {
+        Rng ^= Rng << 13;
+        Rng ^= Rng >> 7;
+        Rng ^= Rng << 17;
+        B = Rng % 100 < Density;
+      }
+      std::string Label = "seed " + std::to_string(Seed) + " density " +
+                          std::to_string(Density);
+      std::uint64_t Runs = expectRunToStopMatchesStep(M, Mask, false, Label);
+      if (Density == 0) {
+        EXPECT_EQ(Runs, 1u) << Label;
+      }
+      expectRunToStopMatchesStep(M, Mask, true, Label + " stop-after-load");
+    }
+  }
+}
+
+TEST(ExecContext, RunToStopStopsOnCalleeEntryAndReturn) {
+  // Stops on the callee's entry (reached through a Call inside a run) and
+  // on the caller's resume point (reached through a Ret inside a run).
+  ir::Module M = makeCallProgram();
+  exec::CodeImage Image(M);
+  std::uint32_t Callee = M.EntryFunction == 0 ? 1 : 0;
+  std::vector<std::uint8_t> Mask(Image.numInsts(), 0);
+  Mask[Image.entry(Callee)] = 1;
+  std::uint32_t ResumePoints = 0;
+  for (exec::FlatPc Pc = 0; Pc < Image.numInsts(); ++Pc)
+    if (Image.inst(Pc).Op == ir::Opcode::Call) {
+      Mask[Pc + 1] = 1;
+      ++ResumePoints;
+    }
+  ASSERT_GT(ResumePoints, 0u);
+
+  sim::HydraConfig Cfg;
+  interp::Heap H;
+  interp::DirectMemoryPort Port(H, Cfg);
+  interp::ExecContext Ctx(M, Cfg);
+  Ctx.start(M.EntryFunction, {});
+  std::uint64_t Clock = 0, AtEntry = 0, AtResume = 0;
+  while (!Ctx.finished()) {
+    Clock += Ctx.runToStop(Port, nullptr, Clock, Mask.data());
+    if (Ctx.finished())
+      break;
+    if (Ctx.pc() == Image.entry(Callee)) {
+      EXPECT_EQ(Ctx.callDepth(), 2u);
+      ++AtEntry;
+    } else {
+      EXPECT_EQ(Ctx.callDepth(), 1u);
+      EXPECT_EQ(Image.inst(Ctx.pc() - 1).Op, ir::Opcode::Call);
+      ++AtResume;
+    }
+  }
+  EXPECT_EQ(AtEntry, 8u); // one call per iteration
+  EXPECT_EQ(AtResume, 8u);
+  EXPECT_EQ(Ctx.returnValue(), runModule(M).ReturnValue);
+  EXPECT_EQ(Clock, runModule(M).Cycles);
+  expectRunToStopMatchesStep(M, Mask, false, "call program");
 }
 
 TEST(ExecContext, RewindTopReissuesInstruction) {
@@ -326,9 +474,10 @@ TEST(ExecContext, StartAtAcceptsOversizedRegisterFile) {
                                   0);
   Ctx.startAt(M.EntryFunction, 0, std::move(Regs));
   EXPECT_TRUE(Ctx.atBlockStart());
+  const std::vector<std::uint8_t> Blocks = blockStarts(Ctx.image());
   std::uint64_t Clock = 0;
   while (!Ctx.finished())
-    Clock += Ctx.stepBlock(Port, nullptr, Clock);
+    Clock += Ctx.runToStop(Port, nullptr, Clock, Blocks.data());
   EXPECT_EQ(Ctx.returnValue(), Expected);
 }
 
@@ -350,6 +499,7 @@ TEST(ExecContext, RepositionTopAdoptsLoopExitState) {
   interp::Heap H1;
   interp::DirectMemoryPort P1(H1, Cfg);
   interp::ExecContext A(M, Cfg);
+  const std::vector<std::uint8_t> Blocks = blockStarts(A.image());
   A.start(M.EntryFunction, {});
   std::uint64_t C1 = 0;
   bool SeenLoop = false;
@@ -365,7 +515,7 @@ TEST(ExecContext, RepositionTopAdoptsLoopExitState) {
         ExitRegs = A.topRegs();
       }
     }
-    C1 += A.stepBlock(P1, nullptr, C1);
+    C1 += A.runToStop(P1, nullptr, C1, Blocks.data());
   }
   ASSERT_NE(ExitBlock, ~0u) << "loop exit never reached";
 
@@ -375,12 +525,12 @@ TEST(ExecContext, RepositionTopAdoptsLoopExitState) {
   B.start(M.EntryFunction, {});
   std::uint64_t C2 = 0;
   while (!(B.atBlockStart() && B.currentBlock() == Plan.Header))
-    C2 += B.stepBlock(P2, nullptr, C2);
+    C2 += B.runToStop(P2, nullptr, C2, Blocks.data());
   B.repositionTop(ExitBlock, ExitRegs);
   EXPECT_TRUE(B.atBlockStart());
   EXPECT_EQ(B.currentBlock(), ExitBlock);
   while (!B.finished())
-    C2 += B.stepBlock(P2, nullptr, C2);
+    C2 += B.runToStop(P2, nullptr, C2, Blocks.data());
   EXPECT_EQ(B.returnValue(), A.returnValue());
 }
 

@@ -2,8 +2,9 @@
 //
 // Builds small loops, recompiles them with buildTlsPlan/TlsEngine, and
 // checks speculative execution against sequential ground truth: results,
-// violations, forwarding, overflow stalls, reductions, inductors, and
-// loop-exit state.
+// violations, forwarding, overflow stalls, reductions, inductors,
+// loop-exit state, and faults of mis-speculated threads. Also covers the
+// engine's flat epoch-cleared tables.
 //
 //===----------------------------------------------------------------------===//
 
@@ -11,6 +12,7 @@
 #include "analysis/Candidates.h"
 #include "hydra/TlsCodegen.h"
 #include "hydra/TlsEngine.h"
+#include "interp/Trap.h"
 #include "jit/TlsPlan.h"
 
 #include <gtest/gtest.h>
@@ -426,4 +428,136 @@ TEST(TlsEngine, SelectedLoopInsideCalleeDispatches) {
   EXPECT_GT(Tls.Totals.Invocations, 2u);
   EXPECT_GT(Tls.Totals.CommittedThreads, 150u);
   EXPECT_LT(Tls.Result.Cycles, Seq.Cycles);
+}
+
+namespace {
+
+/// a[i] = a[i-1] + 1 from a[0] = 1, where each iteration first derives q
+/// (through \p Hazard, which must assign it) from a[i-1] in a way that is
+/// only safe for the sequential (nonzero) value: iterations that speculate
+/// past their predecessor's store read a stale 0.
+ir::Module makeStaleReadLoop(St Hazard) {
+  return makeMain(seq({
+      assign("a", allocWords(c(300))),
+      assign("b", allocWords(c(8))),
+      store(v("a"), c(0), c(1)),
+      forLoop("i", c(1), lt(v("i"), c(256)), 1,
+              seq({
+                  assign("prev", ld(v("a"), sub(v("i"), c(1)))),
+                  Hazard,
+                  store(v("a"), v("i"),
+                        add(add(v("prev"), c(1)), band(v("q"), c(0)))),
+              })),
+      ret(ld(v("a"), c(255))),
+  }));
+}
+
+} // namespace
+
+TEST(TlsEngine, MisspeculatedDivideByZeroIsSquashedNotThrown) {
+  // q = 1000 / prev: a stale prev of 0 traps in a speculative thread.
+  ir::Module M = makeStaleReadLoop(assign("q", sdiv(c(1000), v("prev"))));
+  auto Seq = runModule(M);
+  ASSERT_EQ(Seq.ReturnValue, 256u);
+  auto Tls = runAllLoopsTls(M);
+  EXPECT_EQ(Tls.Result.ReturnValue, 256u);
+  EXPECT_GT(Tls.Totals.Violations, 0u); // the faulting threads were squashed
+  EXPECT_GT(Tls.Totals.CommittedThreads, 200u);
+}
+
+TEST(TlsEngine, MisspeculatedOutOfHeapLoadIsSquashedNotExecuted) {
+  // q = b[4000000 * (prev == 0)]: in bounds for every sequential prev, far
+  // outside the heap for a stale 0.
+  ir::Module M = makeStaleReadLoop(
+      assign("q", ld(v("b"), mul(c(4000000), eq(v("prev"), c(0))))));
+  auto Seq = runModule(M);
+  ASSERT_EQ(Seq.ReturnValue, 256u);
+  auto Tls = runAllLoopsTls(M);
+  EXPECT_EQ(Tls.Result.ReturnValue, 256u);
+  EXPECT_GT(Tls.Totals.Violations, 0u);
+  EXPECT_GT(Tls.Totals.CommittedThreads, 200u);
+}
+
+TEST(TlsEngine, MisspeculatedRegisterOnlyLoopIsSquashedNotRunForever) {
+  // An inner loop with trip count 2 * prev - 1 that touches no memory: a
+  // stale prev of 0 makes it run for 2^64 iterations, with nothing in it
+  // that another core can observe. The thread must still yield to the
+  // other cores so its predecessor's store can squash it.
+  ir::Module M = makeStaleReadLoop(
+      seq({assign("q", c(0)),
+           forLoop("j", c(0), ne(v("j"), sub(mul(c(2), v("prev")), c(1))), 1,
+                   assign("q", add(v("q"), v("j"))))}));
+  auto Seq = runModule(M);
+  ASSERT_EQ(Seq.ReturnValue, 256u);
+  auto Tls = runAllLoopsTls(M);
+  EXPECT_EQ(Tls.Result.ReturnValue, 256u);
+  EXPECT_GT(Tls.Totals.Violations, 0u);
+  EXPECT_GT(Tls.Totals.CommittedThreads, 200u);
+}
+
+TEST(TlsEngine, RealFaultSurfacesWhenTheThreadBecomesHead) {
+  // Iteration 40 divides by zero in the sequential program too: the
+  // speculative thread parks, becomes the head, re-executes, and the trap
+  // escapes exactly as it does sequentially.
+  ir::Module M = makeMain(seq({
+      assign("s", c(0)),
+      forLoop("i", c(0), lt(v("i"), c(64)), 1,
+              assign("s", add(v("s"), sdiv(c(1000), sub(v("i"), c(40)))))),
+      ret(v("s")),
+  }));
+  try {
+    runModule(M);
+    FAIL() << "the sequential run should trap";
+  } catch (const interp::TrapError &E) {
+    EXPECT_EQ(E.kind(), interp::TrapKind::DivideByZero);
+  }
+  try {
+    runAllLoopsTls(M);
+    FAIL() << "the speculative run should trap";
+  } catch (const interp::TrapError &E) {
+    EXPECT_EQ(E.kind(), interp::TrapKind::DivideByZero);
+  }
+}
+
+TEST(EpochTable, IndexNumbersDenselyGrowsAndClearsInConstantTime) {
+  hydra::EpochIndex Set;
+  // Far past the initial capacity, with keys that collide in the low bits.
+  for (std::uint32_t K = 0; K < 5000; ++K) {
+    EXPECT_TRUE(Set.insert(K * 64));
+    EXPECT_FALSE(Set.insert(K * 64));
+  }
+  ASSERT_EQ(Set.size(), 5000u);
+  for (std::uint32_t K = 0; K < 5000; ++K)
+    ASSERT_EQ(Set.find(K * 64), K) << "dense numbers follow insertion order";
+  EXPECT_FALSE(Set.contains(1));
+  for (int Round = 0; Round < 3; ++Round) {
+    Set.clear();
+    EXPECT_EQ(Set.size(), 0u);
+    for (std::uint32_t K = 0; K < 5000; ++K)
+      ASSERT_FALSE(Set.contains(K * 64)) << "stale member after clear";
+    bool Added = false;
+    EXPECT_EQ(Set.insert(128, Added), 0u);
+    EXPECT_TRUE(Added);
+    EXPECT_EQ(Set.insert(128, Added), 0u);
+    EXPECT_FALSE(Added);
+  }
+}
+
+TEST(EpochTable, StoreBufferOverwritesAndDrainsInInsertionOrder) {
+  hydra::StoreBuffer Buf;
+  Buf.store(40, 1);
+  Buf.store(8, 2);
+  Buf.store(40, 3); // overwrite keeps the first insertion's position
+  ASSERT_NE(Buf.find(40), nullptr);
+  EXPECT_EQ(*Buf.find(40), 3u);
+  EXPECT_EQ(Buf.find(12), nullptr);
+  std::vector<std::pair<std::uint32_t, std::uint64_t>> Drained;
+  Buf.forEach([&](std::uint32_t A, std::uint64_t V) {
+    Drained.emplace_back(A, V);
+  });
+  EXPECT_EQ(Drained, (std::vector<std::pair<std::uint32_t, std::uint64_t>>{
+                         {40, 3}, {8, 2}}));
+  Buf.clear();
+  EXPECT_FALSE(Buf.contains(40));
+  Buf.forEach([](std::uint32_t, std::uint64_t) { FAIL() << "not empty"; });
 }
