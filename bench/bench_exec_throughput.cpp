@@ -23,8 +23,10 @@
 //     callbacks that are identical for both layouts, so they are reported
 //     but not gated.
 //   - every per-run statistic bit-identical between the two layouts
-//   - two flat passes agree within 10% (otherwise the measurement is
-//     reported as unresolved rather than failing on runner jitter)
+//   - the gate is decided over interleaved (legacy, flat) pass pairs by
+//     the rule in PairedGate.h: 10 pairs, 5 under --quick, extended up to
+//     three times that before the verdict is left unresolved. Exit 0 on
+//     PASS or unresolved, 1 on FAIL or any divergence.
 //
 // Also reported: the end-to-end wall-clock reduction the image buys the
 // sequential registry sweep (sum of all legs), and the image-cache reuse
@@ -33,19 +35,21 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
+#include "PairedGate.h"
 
 #include "analysis/Candidates.h"
 #include "exec/CodeImage.h"
-#include "interp/EventBlock.h"
 #include "interp/ExecContext.h"
 #include "interp/Heap.h"
 #include "jit/Annotator.h"
 #include "tracer/Selector.h"
 #include "tracer/TraceEngine.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -418,11 +422,6 @@ RunStat runOne(Layout L, const ir::Module &M, const sim::HydraConfig &Cfg,
     interp::ExecContext Ctx(M, Cfg);
     Ctx.start(M.EntryFunction, {});
     Clock = Ctx.run(Port, Sink, 0, ~0ull);
-    // Direct ExecContext drivers must flush the sink's event block at end
-    // of run (Machine::run does this on the product path): the final
-    // call-return marker is still pending.
-    if (Sink)
-      interp::drainPending(*Sink, Sink->eventBlock());
     S.Instructions = Ctx.instructionsExecuted();
     S.ReturnValue = Ctx.returnValue();
   }
@@ -438,8 +437,6 @@ struct PassResult {
   std::uint64_t PlainInstructions = 0;
   std::uint64_t ProfiledInstructions = 0;
   std::vector<RunStat> Stats; // one per leg, fixed order
-
-  double totalMs() const { return PlainMs + ProfiledMs; }
 };
 
 /// One full pass: per workload, a plain sequential run plus one profiled
@@ -504,88 +501,122 @@ int main(int argc, char **argv) {
   // Warm-up: one flat pass primes code, workload data, and the image cache.
   runPass(Layout::Flat, Reg, Cfg);
 
-  PassResult Legacy = runPass(Layout::Legacy, Reg, Cfg);
-  PassResult Flat1 = runPass(Layout::Flat, Reg, Cfg);
-  PassResult Flat2 = runPass(Layout::Flat, Reg, Cfg);
-
   // Bit-exactness: the whole point of the flat image is that it is a pure
-  // layout change. Any divergence voids the measurement.
-  if (Legacy.Stats.size() != Flat1.Stats.size() ||
-      Flat1.Stats.size() != Flat2.Stats.size()) {
-    std::printf("FAIL: leg counts diverged\n");
+  // layout change, so every pair is checked before its ratio counts. Any
+  // divergence voids the measurement.
+  std::vector<PassResult> LegacyPasses, FlatPasses;
+  std::vector<double> ProfRatios;
+  auto RunPair = [&](bool LegacyFirst) -> std::optional<double> {
+    PassResult Legacy, Flat;
+    if (LegacyFirst) {
+      Legacy = runPass(Layout::Legacy, Reg, Cfg);
+      Flat = runPass(Layout::Flat, Reg, Cfg);
+    } else {
+      Flat = runPass(Layout::Flat, Reg, Cfg);
+      Legacy = runPass(Layout::Legacy, Reg, Cfg);
+    }
+    if (Legacy.Stats.size() != Flat.Stats.size()) {
+      std::printf("FAIL: leg counts diverged\n");
+      return std::nullopt;
+    }
+    for (std::size_t I = 0; I < Legacy.Stats.size(); ++I) {
+      if (Legacy.Stats[I] == Flat.Stats[I] &&
+          (FlatPasses.empty() || FlatPasses[0].Stats[I] == Flat.Stats[I]))
+        continue;
+      std::printf("FAIL: leg %zu diverged between layouts or passes "
+                  "(cycles %llu vs %llu, ret %llu vs %llu)\n",
+                  I, (unsigned long long)Legacy.Stats[I].Cycles,
+                  (unsigned long long)Flat.Stats[I].Cycles,
+                  (unsigned long long)Legacy.Stats[I].ReturnValue,
+                  (unsigned long long)Flat.Stats[I].ReturnValue);
+      return std::nullopt;
+    }
+    ProfRatios.push_back(Legacy.ProfiledMs / Flat.ProfiledMs);
+    LegacyPasses.push_back(std::move(Legacy));
+    FlatPasses.push_back(std::move(Flat));
+    // Both layouts retire the same instructions, so the instructions/sec
+    // ratio of the gated plain legs is the inverse wall-time ratio.
+    return LegacyPasses.back().PlainMs / FlatPasses.back().PlainMs;
+  };
+  const double Gate = Quick ? 1.2 : 1.5;
+  PairedGateResult G = decidePaired(Quick ? 5 : 10, Gate, RunPair);
+  if (G.Outcome == Verdict::Diverged)
     return 1;
-  }
-  for (std::size_t I = 0; I < Legacy.Stats.size(); ++I) {
-    if (Legacy.Stats[I] == Flat1.Stats[I] && Flat1.Stats[I] == Flat2.Stats[I])
-      continue;
-    std::printf("FAIL: leg %zu diverged between layouts "
-                "(cycles %llu vs %llu, ret %llu vs %llu)\n",
-                I, (unsigned long long)Legacy.Stats[I].Cycles,
-                (unsigned long long)Flat1.Stats[I].Cycles,
-                (unsigned long long)Legacy.Stats[I].ReturnValue,
-                (unsigned long long)Flat1.Stats[I].ReturnValue);
-    return 1;
-  }
 
-  // Best-of-two flat pass for each leg class, plus the pass-to-pass jitter
-  // on the gated (plain) class.
-  double FlatPlainMs = std::min(Flat1.PlainMs, Flat2.PlainMs);
-  double FlatProfiledMs = std::min(Flat1.ProfiledMs, Flat2.ProfiledMs);
-  double JitterPct =
-      (std::max(Flat1.PlainMs, Flat2.PlainMs) / FlatPlainMs - 1.0) * 100.0;
+  // Medians over the pairs, per layout and leg class.
+  auto MedianOf = [&](const std::vector<PassResult> &Passes,
+                      double PassResult::*Field) {
+    std::vector<double> V;
+    for (const PassResult &P : Passes)
+      V.push_back(P.*Field);
+    return median(V);
+  };
+  const double LegacyPlainMs = MedianOf(LegacyPasses, &PassResult::PlainMs);
+  const double LegacyProfMs = MedianOf(LegacyPasses, &PassResult::ProfiledMs);
+  const double FlatPlainMs = MedianOf(FlatPasses, &PassResult::PlainMs);
+  const double FlatProfMs = MedianOf(FlatPasses, &PassResult::ProfiledMs);
   auto Ips = [](const std::uint64_t Insts, double Ms) {
     return static_cast<double>(Insts) / (Ms / 1000.0) / 1e6;
   };
-  double LegacyPlainIps = Ips(Legacy.PlainInstructions, Legacy.PlainMs);
-  double LegacyProfIps = Ips(Legacy.ProfiledInstructions, Legacy.ProfiledMs);
-  double FlatPlainIps = Ips(Flat1.PlainInstructions, FlatPlainMs);
-  double FlatProfIps = Ips(Flat1.ProfiledInstructions, FlatProfiledMs);
-  double Speedup = FlatPlainIps / LegacyPlainIps;
-  double ProfSpeedup = FlatProfIps / LegacyProfIps;
+  const PassResult &Any = FlatPasses.front();
 
   TextTable T;
-  T.setHeader({"Legs", "layout", "wall ms", "Minstr/s", "speedup"});
-  T.addRow({"plain (gated)", "nested module walk (seed)",
-            fmt(Legacy.PlainMs, 1), fmt(LegacyPlainIps, 1), "1.00x"});
+  T.setHeader({"Legs", "layout", "median wall ms", "Minstr/s", "speedup"});
+  T.addRow({"plain (gated)", "nested module walk (seed)", fmt(LegacyPlainMs, 1),
+            fmt(Ips(Any.PlainInstructions, LegacyPlainMs), 1), "1.00x"});
   T.addRow({"plain (gated)", "flat CodeImage", fmt(FlatPlainMs, 1),
-            fmt(FlatPlainIps, 1), fmt(Speedup, 2) + "x"});
+            fmt(Ips(Any.PlainInstructions, FlatPlainMs), 1),
+            fmt(G.Median, 2) + "x"});
   T.addRow({"profiled (tracer)", "nested module walk (seed)",
-            fmt(Legacy.ProfiledMs, 1), fmt(LegacyProfIps, 1), "1.00x"});
-  T.addRow({"profiled (tracer)", "flat CodeImage", fmt(FlatProfiledMs, 1),
-            fmt(FlatProfIps, 1), fmt(ProfSpeedup, 2) + "x"});
+            fmt(LegacyProfMs, 1),
+            fmt(Ips(Any.ProfiledInstructions, LegacyProfMs), 1), "1.00x"});
+  T.addRow({"profiled (tracer)", "flat CodeImage", fmt(FlatProfMs, 1),
+            fmt(Ips(Any.ProfiledInstructions, FlatProfMs), 1),
+            fmt(median(ProfRatios), 2) + "x"});
   T.print();
 
+  std::vector<double> FlatProf;
+  for (const PassResult &P : FlatPasses)
+    FlatProf.push_back(P.ProfiledMs);
+  std::sort(FlatProf.begin(), FlatProf.end());
   exec::ImageCacheStats IC = exec::CodeImage::cacheStats();
-  std::printf("\nall %zu legs bit-identical across layouts "
+  std::printf("\nall %zu legs bit-identical across layouts in every pass "
               "(cycles, instructions, return values, selection digests)\n",
-              Legacy.Stats.size());
+              Any.Stats.size());
   std::printf("profiled legs spend most wall-clock in TraceEngine callbacks "
               "(identical for both layouts),\nso the interpreter-layout gate "
               "applies to the plain legs only\n");
+  std::printf("flat profiled legs: median %.1f ms, quartiles [%.1f, %.1f], "
+              "range [%.1f, %.1f]\n",
+              FlatProfMs, quantile(FlatProf, 0.25), quantile(FlatProf, 0.75),
+              FlatProf.front(), FlatProf.back());
   std::printf("end-to-end sequential registry sweep: %.1f ms -> %.1f ms "
               "(%.2fx wall-clock reduction)\n",
-              Legacy.totalMs(), FlatPlainMs + FlatProfiledMs,
-              Legacy.totalMs() / (FlatPlainMs + FlatProfiledMs));
+              LegacyPlainMs + LegacyProfMs, FlatPlainMs + FlatProfMs,
+              (LegacyPlainMs + LegacyProfMs) / (FlatPlainMs + FlatProfMs));
   std::printf("image cache: %llu hits / %llu misses (images shared across "
               "runs of the same module)\n",
               (unsigned long long)IC.Hits, (unsigned long long)IC.Misses);
-  std::printf("flat pass-to-pass jitter (plain legs): %.2f%%\n", JitterPct);
+  std::printf("%zu interleaved (legacy, flat) pairs: per-pair plain speedup "
+              "median %.2fx, quartiles [%.2fx, %.2fx]\n",
+              G.Ratios.size(), G.Median, G.Q1, G.Q3);
 
-  double Gate = Quick ? 1.2 : 1.5;
-  if (Speedup >= Gate) {
+  if (G.Outcome == Verdict::Pass) {
     std::printf("\nPASS: flat image sustains %.2fx the legacy "
-                "instructions/sec on plain legs (>= %.1fx gate)\n",
-                Speedup, Gate);
+                "instructions/sec on plain legs (lower quartile %.2fx >= "
+                "%.1fx gate)\n",
+                G.Median, G.Q1, Gate);
     return 0;
   }
-  if (JitterPct > 10.0) {
-    std::printf("\nPASS (unresolved): speedup %.2fx below the %.1fx gate "
-                "but runner jitter is %.2f%%; measurement inconclusive\n",
-                Speedup, Gate, JitterPct);
+  if (G.Outcome == Verdict::Unresolved) {
+    std::printf("\nUNRESOLVED: per-pair quartiles [%.2fx, %.2fx] straddle "
+                "the %.1fx gate after %zu pairs\n",
+                G.Q1, G.Q3, Gate, G.Ratios.size());
     return 0;
   }
   std::printf("\nFAIL: flat image sustains only %.2fx the legacy "
-              "instructions/sec on plain legs (>= %.1fx gate)\n",
-              Speedup, Gate);
+              "instructions/sec on plain legs (upper quartile %.2fx < %.1fx "
+              "gate)\n",
+              G.Median, G.Q3, Gate);
   return 1;
 }

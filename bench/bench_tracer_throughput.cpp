@@ -1,9 +1,8 @@
-//===- bench/bench_tracer_throughput.cpp - Batched SoA tracer vs seed ------==//
+//===- bench/bench_tracer_throughput.cpp - SoA tracer core vs seed ---------==//
 //
-// Headline gate for the block-drained structure-of-arrays tracer core
-// (src/tracer + src/interp EventBlock): the batched TraceEngine must
-// sustain >= 1.5x the analyzed events/sec of the seed per-event engine,
-// bit-exactly.
+// Headline gate for the structure-of-arrays tracer core (src/tracer): the
+// TraceEngine must sustain >= 1.5x the analyzed events/sec of the seed
+// engine, bit-exactly.
 //
 // The seed engine no longer exists in the tree, so this bench embeds a
 // faithful copy of it (namespace `legacy` below: an unordered_map + deque
@@ -12,9 +11,8 @@
 // Both engines analyze the same work: per registry workload and annotation
 // level, one annotated profiling run is captured as an in-memory event
 // stream (untimed), and the timed legs re-drive each engine from that
-// identical stream — the legacy engine per-event through
-// trace::dispatchEvent, the new engine through the same
-// trace::dispatchEventBatched block-drain path the product replay uses.
+// identical stream, both one event at a time through trace::dispatchEvent,
+// the path the product replay uses.
 //
 // Every measurement is verified on the spot:
 //   - per-loop StlStats (arc histograms, overflow counts, PC bins),
@@ -22,20 +20,20 @@
 //     and the new engine on every stream
 //   - the new engine's selection digest and exported tracer.* metrics
 //     bit-identical between the live profiled run and the replayed stream
-//   - a second live run driven through the batched interpreter path
-//     (EventBlock in the hot loop) reproduces the per-event live digest
-//   - two new-engine passes agree within 10% (otherwise the measurement
-//     is reported as unresolved rather than failing on runner jitter)
 //
 // Gate: >= 1.5x events/sec (>= 1.2x in --quick mode, which runs a
-// workload subset as the CI perf smoke).
+// workload subset as the CI perf smoke), decided over interleaved
+// (seed, new) pass pairs by the rule in PairedGate.h: 10 pairs, 5 under
+// --quick, extended up to three times that before the verdict is left
+// unresolved. Exit 0 on PASS or unresolved, 3 on FAIL (bit-identical but
+// too slow), 1 on any divergence.
 //
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
+#include "PairedGate.h"
 
 #include "analysis/Candidates.h"
-#include "interp/EventBlock.h"
 #include "interp/ExecContext.h"
 #include "interp/Heap.h"
 #include "jit/Annotator.h"
@@ -49,6 +47,7 @@
 #include <cstring>
 #include <deque>
 #include <map>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -564,8 +563,6 @@ public:
   CaptureSink(interp::TraceSink &Down, std::vector<trace::Event> &Out)
       : Down(Down), Out(Out) {}
 
-  // Per-event on purpose (eventBlock() stays null): capture runs outside
-  // the timed windows, and the cost flow is identical either way.
   std::uint32_t onHeapLoad(std::uint32_t Addr, std::uint64_t Cycle,
                            std::int32_t Pc) override {
     trace::Event E;
@@ -706,11 +703,7 @@ std::uint64_t runAnnotated(const ir::Module &M, const sim::HydraConfig &Cfg,
   interp::DirectMemoryPort Port(H, Cfg);
   interp::ExecContext Ctx(M, Cfg);
   Ctx.start(M.EntryFunction, {});
-  std::uint64_t Cycles = Ctx.run(Port, &Sink, 0, ~0ull);
-  // Direct ExecContext drivers flush the sink's event block at end of run
-  // (Machine::run does this on the product path).
-  interp::drainPending(Sink, Sink.eventBlock());
-  return Cycles;
+  return Ctx.run(Port, &Sink, 0, ~0ull);
 }
 
 // --------------------------------------------------------------------------
@@ -767,10 +760,8 @@ PassResult runNewPass(const std::vector<CapturedStream> &Streams) {
   for (const CapturedStream &C : Streams) {
     Stopwatch S;
     tracer::TraceEngine Engine(Cfg, C.Loops, /*ExtendedPcBinning=*/true);
-    interp::EventBlock *Blk = Engine.eventBlock();
     for (const trace::Event &E : C.Events)
-      trace::dispatchEventBatched(E, Engine, Blk);
-    interp::drainPending(Engine, Blk);
+      trace::dispatchEvent(E, Engine);
     P.Ms += S.ms();
     P.Events += C.Events.size();
     AnalysisFacts F;
@@ -794,7 +785,7 @@ int main(int argc, char **argv) {
     if (std::strcmp(argv[A], "--quick") == 0)
       Quick = true;
 
-  printBanner("Tracer throughput - block-drained SoA core vs seed engine",
+  printBanner("Tracer throughput - SoA core vs seed engine",
               "the TEST analysis underneath Tables 3-6");
 
   sim::HydraConfig Cfg;
@@ -803,8 +794,7 @@ int main(int argc, char **argv) {
                             : All.size();
 
   // Capture (untimed): per workload x level, one profiled run teed into
-  // memory, plus a second live run through the batched interpreter path to
-  // pin live-batched == live-per-event.
+  // memory.
   std::vector<CapturedStream> Streams;
   for (std::size_t I = 0; I < Count; ++I) {
     ir::Module Plain = All[I].Build();
@@ -821,19 +811,6 @@ int main(int argc, char **argv) {
       CaptureSink Capture(LiveEngine, C.Events);
       C.RunCycles = runAnnotated(Ann.Module, Cfg, Capture);
       C.Live = readResults(LiveEngine, C.RunCycles, Cfg);
-
-      tracer::TraceEngine BatchedEngine(Cfg, C.Loops,
-                                        /*ExtendedPcBinning=*/true);
-      std::uint64_t BatchedCycles = runAnnotated(Ann.Module, Cfg,
-                                                 BatchedEngine);
-      EngineResults Batched = readResults(BatchedEngine, BatchedCycles, Cfg);
-      if (BatchedCycles != C.RunCycles || !(Batched.Digest == C.Live.Digest) ||
-          Batched.MetricsJson != C.Live.MetricsJson) {
-        std::printf("FAIL: %s: live batched run diverged from live "
-                    "per-event run\n",
-                    C.Name.c_str());
-        return 1;
-      }
       Streams.push_back(std::move(C));
     }
   }
@@ -848,76 +825,83 @@ int main(int argc, char **argv) {
   // Warm-up primes code and the captured streams' pages.
   runNewPass(Streams);
 
-  PassResult Legacy = runLegacyPass(Streams);
-  PassResult New1 = runNewPass(Streams);
-  PassResult New2 = runNewPass(Streams);
-
-  // Bit-exactness: the SoA core is a pure representation change. Any
-  // divergence voids the measurement.
-  for (std::size_t I = 0; I < Streams.size(); ++I) {
-    if (!(Legacy.Facts[I] == New1.Facts[I])) {
-      std::printf("FAIL: %s: new engine diverged from the seed engine "
-                  "(StlStats/parents/peaks)\n",
-                  Streams[I].Name.c_str());
-      return 1;
+  // Bit-exactness: the SoA core is a pure representation change, so every
+  // pair is checked before its ratio counts. Any divergence voids the
+  // measurement.
+  std::vector<double> LegacyMs, NewMs;
+  auto RunPair = [&](bool SeedFirst) -> std::optional<double> {
+    PassResult Legacy, New;
+    if (SeedFirst) {
+      Legacy = runLegacyPass(Streams);
+      New = runNewPass(Streams);
+    } else {
+      New = runNewPass(Streams);
+      Legacy = runLegacyPass(Streams);
     }
-    if (!(New1.Facts[I] == New2.Facts[I]) ||
-        New1.NewResults[I].Digest != New2.NewResults[I].Digest) {
-      std::printf("FAIL: %s: new engine passes disagree\n",
-                  Streams[I].Name.c_str());
-      return 1;
+    for (std::size_t I = 0; I < Streams.size(); ++I) {
+      if (!(Legacy.Facts[I] == New.Facts[I])) {
+        std::printf("FAIL: %s: new engine diverged from the seed engine "
+                    "(StlStats/parents/peaks)\n",
+                    Streams[I].Name.c_str());
+        return std::nullopt;
+      }
+      if (New.NewResults[I].Digest != Streams[I].Live.Digest ||
+          New.NewResults[I].MetricsJson != Streams[I].Live.MetricsJson) {
+        std::printf("FAIL: %s: replayed results diverged from the live "
+                    "profiled run (digest/metrics)\n",
+                    Streams[I].Name.c_str());
+        return std::nullopt;
+      }
     }
-    if (New1.NewResults[I].Digest != Streams[I].Live.Digest ||
-        New1.NewResults[I].MetricsJson != Streams[I].Live.MetricsJson) {
-      std::printf("FAIL: %s: replayed results diverged from the live "
-                  "profiled run (digest/metrics)\n",
-                  Streams[I].Name.c_str());
-      return 1;
-    }
-  }
-
-  double NewMs = std::min(New1.Ms, New2.Ms);
-  double JitterPct = (std::max(New1.Ms, New2.Ms) / NewMs - 1.0) * 100.0;
-  auto Eps = [](std::uint64_t Events, double Ms) {
-    return static_cast<double>(Events) / (Ms / 1000.0) / 1e6;
+    LegacyMs.push_back(Legacy.Ms);
+    NewMs.push_back(New.Ms);
+    // Both passes consume the same streams, so the events/sec ratio is the
+    // inverse wall-time ratio.
+    return Legacy.Ms / New.Ms;
   };
-  double LegacyEps = Eps(Legacy.Events, Legacy.Ms);
-  double NewEps = Eps(New1.Events, NewMs);
-  double Speedup = NewEps / LegacyEps;
+  const double Gate = Quick ? 1.2 : 1.5;
+  PairedGateResult G = decidePaired(Quick ? 5 : 10, Gate, RunPair);
+  if (G.Outcome == Verdict::Diverged)
+    return 1;
 
+  auto Eps = [&](double Ms) {
+    return static_cast<double>(TotalEvents) / (Ms / 1000.0) / 1e6;
+  };
+  const double LegacyMedMs = median(LegacyMs);
+  const double NewMedMs = median(NewMs);
   TextTable T;
-  T.setHeader({"engine", "wall ms", "Mevents/s", "speedup"});
-  T.addRow({"per-event pointer chasing (seed)", fmt(Legacy.Ms, 1),
-            fmt(LegacyEps, 1), "1.00x"});
-  T.addRow({"block-drained SoA core", fmt(NewMs, 1), fmt(NewEps, 1),
-            fmt(Speedup, 2) + "x"});
+  T.setHeader({"engine", "median wall ms", "Mevents/s", "speedup"});
+  T.addRow({"per-event pointer chasing (seed)", fmt(LegacyMedMs, 1),
+            fmt(Eps(LegacyMedMs), 1), "1.00x"});
+  T.addRow({"per-event SoA core", fmt(NewMedMs, 1), fmt(Eps(NewMedMs), 1),
+            fmt(G.Median, 2) + "x"});
   T.print();
 
-  std::printf("\nall %zu streams bit-identical: StlStats + PC bins + dynamic "
-              "parents + peaks vs the seed engine,\nselection digests + "
-              "tracer.* metrics vs the live profiled run (batched and "
-              "per-event alike)\n",
+  std::printf("\nall %zu streams bit-identical in every pass: StlStats + PC "
+              "bins + dynamic parents + peaks\nvs the seed engine, selection "
+              "digests + tracer.* metrics vs the live profiled run\n",
               Streams.size());
-  std::printf("new-engine pass-to-pass jitter: %.2f%%\n", JitterPct);
+  std::printf("%zu interleaved (seed, new) pairs: per-pair speedup median "
+              "%.2fx, quartiles [%.2fx, %.2fx]\n",
+              G.Ratios.size(), G.Median, G.Q1, G.Q3);
 
-  double Gate = Quick ? 1.2 : 1.5;
-  if (Speedup >= Gate) {
+  if (G.Outcome == Verdict::Pass) {
     std::printf("\nPASS: SoA core sustains %.2fx the seed engine's "
-                "events/sec (>= %.1fx gate)\n",
-                Speedup, Gate);
+                "events/sec (lower quartile %.2fx >= %.1fx gate)\n",
+                G.Median, G.Q1, Gate);
     return 0;
   }
-  if (JitterPct > 10.0) {
-    std::printf("\nPASS (unresolved): speedup %.2fx below the %.1fx gate "
-                "but runner jitter is %.2f%%; measurement inconclusive\n",
-                Speedup, Gate, JitterPct);
+  if (G.Outcome == Verdict::Unresolved) {
+    std::printf("\nUNRESOLVED: per-pair quartiles [%.2fx, %.2fx] straddle "
+                "the %.1fx gate after %zu pairs\n",
+                G.Q1, G.Q3, Gate, G.Ratios.size());
     return 0;
   }
   // Exit 3 distinguishes "bit-identical but below the throughput gate"
   // from a semantic divergence (exit 1): scripts/ci_perf_smoke.sh treats
   // the former as a soft warning and only the latter as a CI failure.
   std::printf("\nFAIL: SoA core sustains only %.2fx the seed engine's "
-              "events/sec (>= %.1fx gate)\n",
-              Speedup, Gate);
+              "events/sec (upper quartile %.2fx < %.1fx gate)\n",
+              G.Median, G.Q3, Gate);
   return 3;
 }

@@ -63,10 +63,22 @@ expect_usage "run: list with junk"    "${RUN_BIN}" list extra
 expect_usage "run: missing workload"  "${RUN_BIN}" run
 expect_usage "run: unknown option"    "${RUN_BIN}" run BitOps --bogus
 expect_usage "run: missing value"     "${RUN_BIN}" run BitOps --banks
-expect_usage "run: batch no value"    "${RUN_BIN}" run BitOps --trace-batch
-expect_usage "run: batch zero"        "${RUN_BIN}" run BitOps --trace-batch=0
+# The tracer batch-size flag went with the batched event transport; it is
+# now an unknown option like any other.
+expect_usage "run: removed flag"      "${RUN_BIN}" run BitOps --trace-batch
+expect_usage "run: removed flag ="    "${RUN_BIN}" run BitOps --trace-batch=0
+# Numeric tracer flags parse strictly and pass the tracer geometry check.
+expect_usage "run: banks junk"        "${RUN_BIN}" run BitOps --banks abc
+expect_usage "run: banks negative"    "${RUN_BIN}" run BitOps --banks -1
+expect_usage "run: banks over cap"    "${RUN_BIN}" run BitOps --banks 5000
+expect_usage "run: history negative"  "${RUN_BIN}" run BitOps --history -1
+expect_usage "run: history over cap"  "${RUN_BIN}" run BitOps --history 99999999
+expect_usage "run: disable junk"      "${RUN_BIN}" run BitOps --disable-after 1x
+expect_usage "run: disable overflow"  "${RUN_BIN}" run BitOps --disable-after 4294967296
 expect_usage "run: dump-ir with junk" "${RUN_BIN}" dump-ir BitOps extra
 expect_usage "run: trace bad option"  "${RUN_BIN}" trace BitOps --nope
+expect_usage "run: trace bad count"   "${RUN_BIN}" trace BitOps --events -5
+expect_usage "run: trace junk count"  "${RUN_BIN}" trace BitOps --events=abc
 
 # jrpm-trace
 expect_usage "trace: no args"         "${TRACE_BIN}"
@@ -77,6 +89,23 @@ expect_usage "trace: info with junk"  "${TRACE_BIN}" info a.jtrace extra
 expect_usage "trace: diff one path"   "${TRACE_BIN}" diff a.jtrace
 expect_usage "trace: diff with junk"  "${TRACE_BIN}" diff a b c
 expect_usage "trace: unknown option"  "${TRACE_BIN}" record BitOps --bogus
+expect_usage "trace: banks junk"      "${TRACE_BIN}" record BitOps --banks abc
+expect_usage "trace: banks over cap"  "${TRACE_BIN}" record BitOps --banks 5000
+expect_usage "trace: history negative" "${TRACE_BIN}" replay a.jtrace --history -1
+expect_usage "trace: disable negative" "${TRACE_BIN}" replay a.jtrace --disable-after -1
+# Replay overrides are checked against the recorded geometry, so these need
+# a real capture.
+CLI_TMP="$(mktemp -d "${TMPDIR:-/tmp}/jrpm-cli-usage.XXXXXX")"
+if "${TRACE_BIN}" record BitOps -o "${CLI_TMP}/b.jtrace" >/dev/null; then
+  expect_usage "trace: replay banks over cap" \
+    "${TRACE_BIN}" replay "${CLI_TMP}/b.jtrace" --banks 5000
+  expect_usage "trace: replay history over cap" \
+    "${TRACE_BIN}" replay "${CLI_TMP}/b.jtrace" --history 70000
+else
+  echo "FAIL (trace: record for replay cases): could not record BitOps" >&2
+  STATUS=1
+fi
+rm -rf "${CLI_TMP}"
 
 # jrpm-sweep
 expect_usage "sweep: no args"         "${SWEEP_BIN}"
@@ -84,6 +113,10 @@ expect_usage "sweep: bad subcommand"  "${SWEEP_BIN}" launch
 expect_usage "sweep: unknown option"  "${SWEEP_BIN}" run --bogus
 expect_usage "sweep: missing value"   "${SWEEP_BIN}" run --workloads
 expect_usage "sweep: bad level"       "${SWEEP_BIN}" run --levels sideways
+expect_usage "sweep: threads junk"    "${SWEEP_BIN}" run --threads abc
+expect_usage "sweep: threads negative" "${SWEEP_BIN}" run --threads -1
+expect_usage "sweep: threads over cap" "${SWEEP_BIN}" run --threads 257
+expect_usage "sweep: timeout junk"    "${SWEEP_BIN}" run --timeout-ms 5s
 
 # jrpm-lint
 expect_usage "lint: no args"          "${LINT_BIN}"
@@ -91,6 +124,7 @@ expect_usage "lint: unknown option"   "${LINT_BIN}" all --bogus
 expect_usage "lint: jobs no value"    "${LINT_BIN}" all --jobs
 expect_usage "lint: jobs zero"        "${LINT_BIN}" all --jobs 0
 expect_usage "lint: jobs junk"        "${LINT_BIN}" all --jobs many
+expect_usage "lint: jobs overflow"    "${LINT_BIN}" all --jobs 99999999999999999999
 expect_usage "lint: json bad option"  "${LINT_BIN}" all --json --bogus
 
 # jrpm-metrics

@@ -8,19 +8,21 @@
 #     instructions/sec over the embedded seed nested-layout interpreter,
 #     verifying every leg bit-exact on the spot (cycles, instruction
 #     counts, return values, selection digests).
-#   - bench_tracer_throughput gates the block-drained SoA tracer core's
-#     events/sec over the embedded seed per-event engine, verifying
-#     StlStats/parents/peaks vs the seed engine and selection digests +
-#     tracer.* metrics vs the live profiled run on every stream.
+#   - bench_tracer_throughput gates the SoA tracer core's events/sec over
+#     the embedded seed engine, verifying StlStats/parents/peaks vs the
+#     seed engine and selection digests + tracer.* metrics vs the live
+#     profiled run on every stream.
 #
 # Both catch semantic regressions and gross throughput regressions without
 # the runtime of the full-registry runs.
 #
-# The gates are soft against machine noise: when the two measured passes
-# differ by more than 10%, a bench reports the measurement as unresolved
-# and exits 0 rather than failing on runner jitter. For a publishable
-# number, run the full benches on a quiet host, preferably under the
-# release-native preset:
+# Each gate is decided over interleaved (seed, new) pass pairs (5 under
+# --quick) by the rule in bench/PairedGate.h: PASS when the lower quartile
+# of the per-pair speedups clears the gate, FAIL when the upper quartile
+# misses it, otherwise more pairs up to three times as many, and only then
+# "unresolved" (exit 0). The tracer gate stays soft (see below). For a
+# publishable number, run the full benches on a quiet host, preferably
+# under the release-native preset:
 #   cmake --preset release-native && cmake --build --preset release-native
 #   build-native/bench/bench_exec_throughput
 #   build-native/bench/bench_tracer_throughput

@@ -288,10 +288,8 @@ OracleOutcome corpus::runOracles(const Template &T, const Variant &V,
   // Oracle 3: record-once / replay-many — a fresh engine fed the recorded
   // events must reproduce the live selection digest exactly.
   tracer::TraceEngine Fresh(Cfg.Hw, AM.LoopInfos);
-  interp::EventBlock *FreshBlk = Fresh.eventBlock();
   for (const trace::Event &E : Recorder.events())
-    trace::dispatchEventBatched(E, Fresh, FreshBlk);
-  interp::drainPending(Fresh, FreshBlk);
+    trace::dispatchEvent(E, Fresh);
   Out.EventsReplayed = Recorder.events().size();
   tracer::SelectionResult ReplaySel =
       tracer::selectStls(Fresh, ProfRun.Cycles, Cfg.Hw);

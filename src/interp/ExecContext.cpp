@@ -2,7 +2,6 @@
 
 #include "interp/ExecContext.h"
 
-#include "interp/EventBlock.h"
 #include "interp/Trap.h"
 #include "support/Bits.h"
 #include "support/Compiler.h"
@@ -91,10 +90,6 @@ std::uint64_t ExecContext::stepImpl(MemoryPort &Mem, TraceSink *Sink,
   Frame *F = &Frames.back();
   exec::FlatPc Pc = F->Pc;
   std::uint64_t *Regs = F->Regs.data();
-  // Batched sinks expose an EventBlock; zero-cost events are appended to it
-  // and drained in blocks, control events drain-then-dispatch (see
-  // EventBlock.h for the discipline that keeps this bit-identical).
-  EventBlock *Blk = Sink ? Sink->eventBlock() : nullptr;
 
 #if defined(__GNUC__) || defined(__clang__)
   std::uint64_t Exec = Executed;
@@ -325,7 +320,7 @@ Op_Load: {
   Regs[I->Dst] = Mem.load(Addr, Extra);
   Cost += Extra;
   if (Sink)
-    Cost += emitHeapLoad(*Sink, Blk, Addr, Now, I->Pc);
+    Cost += Sink->onHeapLoad(Addr, Now, I->Pc);
   ++Pc;
   JRPM_MEM_DONE();
 }
@@ -340,7 +335,7 @@ Op_Store: {
   Mem.store(Addr, Regs[I->Dst], Extra);
   Cost += Extra;
   if (Sink)
-    Cost += emitHeapStore(*Sink, Blk, Addr, Now, I->Pc);
+    Cost += Sink->onHeapStore(Addr, Now, I->Pc);
   ++Pc;
   JRPM_MEM_DONE();
 }
@@ -378,7 +373,7 @@ Op_Call: {
   F->Pc = Pc + 1; // resume point after the call
   Cost = Costs.CallOverhead;
   if (Sink)
-    emitCallSite(*Sink, Blk, I->Pc, Now);
+    Sink->onCallSite(I->Pc, Now);
   Frames.push_back(std::move(NewF)); // invalidates F
   F = &Frames.back();
   Pc = F->Pc;
@@ -402,9 +397,8 @@ Op_Call: {
 Op_Ret: {
   std::uint64_t Value = I->A != ir::NoReg ? Regs[I->A] : 0;
   if (Sink) {
-    drainPending(*Sink, Blk);
     Sink->onReturn(F->Activation);
-    emitCallReturn(*Sink, Blk, Now);
+    Sink->onCallReturn(Now);
   }
   std::uint16_t RetDst = F->RetDst;
   Frames.pop_back();
@@ -435,42 +429,36 @@ Op_Ret: {
 // degrade to when the runtime disables a loop's tracing); the tracer
 // charges the coprocessor interaction on top while it is listening.
 Op_SLoop:
-  if (Sink) {
-    drainPending(*Sink, Blk);
+  if (Sink)
     Cost += Sink->onLoopStart(static_cast<std::uint32_t>(I->Imm),
                               F->Activation, Now);
-  }
   ++Pc;
   JRPM_NEXT();
 Op_Eoi:
   if (Sink)
-    Cost += emitLoopIter(*Sink, Blk, static_cast<std::uint32_t>(I->Imm), Now);
+    Cost += Sink->onLoopIter(static_cast<std::uint32_t>(I->Imm), Now);
   ++Pc;
   JRPM_NEXT();
 Op_ELoop:
-  if (Sink) {
-    drainPending(*Sink, Blk);
+  if (Sink)
     Cost += Sink->onLoopEnd(static_cast<std::uint32_t>(I->Imm), Now);
-  }
   ++Pc;
   JRPM_NEXT();
 Op_LwlAnno:
   Cost = Cfg.LocalAnnoCost;
   if (Sink)
-    Cost += emitLocalLoad(*Sink, Blk, F->Activation, I->A, Now, I->Pc);
+    Cost += Sink->onLocalLoad(F->Activation, I->A, Now, I->Pc);
   ++Pc;
   JRPM_NEXT();
 Op_SwlAnno:
   Cost = Cfg.LocalAnnoCost;
   if (Sink)
-    Cost += emitLocalStore(*Sink, Blk, F->Activation, I->A, Now, I->Pc);
+    Cost += Sink->onLocalStore(F->Activation, I->A, Now, I->Pc);
   ++Pc;
   JRPM_NEXT();
 Op_ReadStats:
-  if (Sink) {
-    drainPending(*Sink, Blk);
+  if (Sink)
     Cost += Sink->onReadStats(static_cast<std::uint32_t>(I->Imm), Now);
-  }
   ++Pc;
   JRPM_NEXT();
 Op_Nop:
@@ -641,7 +629,7 @@ Op_Nop:
       R(I.Dst) = Mem.load(Addr, Extra);
       Cost += Extra;
       if (Sink)
-        Cost += emitHeapLoad(*Sink, Blk, Addr, Now, I.Pc);
+        Cost += Sink->onHeapLoad(Addr, Now, I.Pc);
       ++Pc;
       break;
     }
@@ -656,7 +644,7 @@ Op_Nop:
       Mem.store(Addr, R(I.Dst), Extra);
       Cost += Extra;
       if (Sink)
-        Cost += emitHeapStore(*Sink, Blk, Addr, Now, I.Pc);
+        Cost += Sink->onHeapStore(Addr, Now, I.Pc);
       ++Pc;
       break;
     }
@@ -694,7 +682,7 @@ Op_Nop:
       F->Pc = Pc + 1; // resume point after the call
       Cost = Costs.CallOverhead;
       if (Sink)
-        emitCallSite(*Sink, Blk, I.Pc, Now);
+        Sink->onCallSite(I.Pc, Now);
       Frames.push_back(std::move(NewF)); // invalidates F; reloaded below
       FrameChanged = true;
       break;
@@ -702,9 +690,8 @@ Op_Nop:
     case ir::Opcode::Ret: {
       std::uint64_t Value = I.A != ir::NoReg ? R(I.A) : 0;
       if (Sink) {
-        drainPending(*Sink, Blk);
         Sink->onReturn(F->Activation);
-        emitCallReturn(*Sink, Blk, Now);
+        Sink->onCallReturn(Now);
       }
       std::uint16_t RetDst = F->RetDst;
       Frames.pop_back();
@@ -717,43 +704,36 @@ Op_Nop:
       break;
     }
     case ir::Opcode::SLoop:
-      if (Sink) {
-        drainPending(*Sink, Blk);
+      if (Sink)
         Cost += Sink->onLoopStart(static_cast<std::uint32_t>(I.Imm),
                                   F->Activation, Now);
-      }
       ++Pc;
       break;
     case ir::Opcode::Eoi:
       if (Sink)
-        Cost +=
-            emitLoopIter(*Sink, Blk, static_cast<std::uint32_t>(I.Imm), Now);
+        Cost += Sink->onLoopIter(static_cast<std::uint32_t>(I.Imm), Now);
       ++Pc;
       break;
     case ir::Opcode::ELoop:
-      if (Sink) {
-        drainPending(*Sink, Blk);
+      if (Sink)
         Cost += Sink->onLoopEnd(static_cast<std::uint32_t>(I.Imm), Now);
-      }
       ++Pc;
       break;
     case ir::Opcode::LwlAnno:
       Cost = Cfg.LocalAnnoCost;
       if (Sink)
-        Cost += emitLocalLoad(*Sink, Blk, F->Activation, I.A, Now, I.Pc);
+        Cost += Sink->onLocalLoad(F->Activation, I.A, Now, I.Pc);
       ++Pc;
       break;
     case ir::Opcode::SwlAnno:
       Cost = Cfg.LocalAnnoCost;
       if (Sink)
-        Cost += emitLocalStore(*Sink, Blk, F->Activation, I.A, Now, I.Pc);
+        Cost += Sink->onLocalStore(F->Activation, I.A, Now, I.Pc);
       ++Pc;
       break;
     case ir::Opcode::ReadStats:
-      if (Sink) {
-        drainPending(*Sink, Blk);
+      if (Sink)
         Cost += Sink->onReadStats(static_cast<std::uint32_t>(I.Imm), Now);
-      }
       ++Pc;
       break;
     case ir::Opcode::Nop:

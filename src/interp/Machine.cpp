@@ -2,7 +2,6 @@
 
 #include "interp/Machine.h"
 
-#include "interp/EventBlock.h"
 #include "metrics/Metrics.h"
 #include "metrics/Timeline.h"
 #include "support/Compiler.h"
@@ -38,10 +37,6 @@ RunResult Machine::run(const std::vector<std::uint64_t> &Args) {
   }
   if (Clock > MaxCycles)
     JRPM_FATAL("simulation exceeded the cycle watchdog");
-  // The final return's call-return marker may still be deferred in a
-  // batched sink's event block; flush it before anyone reads results.
-  if (Sink)
-    drainPending(*Sink, Sink->eventBlock());
   RunResult R;
   R.Cycles = Clock;
   R.Instructions = Ctx.instructionsExecuted();

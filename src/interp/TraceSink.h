@@ -5,6 +5,12 @@
 // consumes them at zero cost; the software-only profiler model charges a
 // callback penalty per event via the return values.
 //
+// Delivery is one virtual call per event, in program order, for every
+// producer: live interpretation (interp::ExecContext), .jtrace replay
+// (trace::replay, trace::CachedTrace) and the recording tee. The comparator
+// banks listen passively (paper Section 5), so a sink sees exactly the
+// stream the annotated run produced, one event at a time.
+//
 //===----------------------------------------------------------------------===//
 
 #ifndef JRPM_INTERP_TRACESINK_H
@@ -15,22 +21,9 @@
 namespace jrpm {
 namespace interp {
 
-class EventBlock;
-
 class TraceSink {
 public:
   virtual ~TraceSink() = default;
-
-  /// Batched transport (EventBlock.h). A sink that returns a block opts
-  /// into deferred delivery of the zero-cost event kinds: producers append
-  /// to the block and call drainBlock() when it fills and before every
-  /// control event (`sloop`/`eloop`/`eoi`/`readstats`/return), so the sink
-  /// observes the exact per-event order. Sinks that charge nonzero cycles
-  /// for memory events (the software profiler model) must keep the default
-  /// nullptr and stay on the virtual per-event path.
-  virtual EventBlock *eventBlock() { return nullptr; }
-  /// Consumes and clears the pending events of eventBlock() in order.
-  virtual void drainBlock() {}
 
   /// Every method returns extra cycles charged to the traced program (0 for
   /// the hardware tracer, the callback cost for software-only profiling).

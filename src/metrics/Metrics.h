@@ -63,7 +63,7 @@ public:
   static constexpr std::uint32_t NumBuckets = 256;
 
   // record() is inline: tracers call it once per loop iteration, so it
-  // sits on the block-drain hot path.
+  // sits on the per-iteration hot path.
   void record(std::uint64_t V) {
     ++Buckets[bucketIndex(V)];
     ++Count;

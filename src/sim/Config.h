@@ -11,6 +11,7 @@
 #define JRPM_SIM_CONFIG_H
 
 #include <cstdint>
+#include <string>
 
 namespace jrpm {
 namespace sim {
@@ -96,6 +97,51 @@ struct HydraConfig {
   /// Instruction latency model shared by the sequential and TLS engines.
   CostModel Costs;
 };
+
+// Caps on the TEST tracer geometry. They sit far above every configuration
+// the paper, the benches and the sweeps use (512-entry tables, a 768-line
+// history, 16 banks, 64 slots) and keep a tracer's tables to tens of
+// megabytes at most, so a corrupt trace header or a typo on the command
+// line is rejected instead of exhausting memory.
+constexpr std::uint32_t MaxWordsPerLine = 64;
+/// Bound on the load/store timestamp tables and the heap history FIFO.
+constexpr std::uint32_t MaxTracerTableEntries = 1u << 16;
+constexpr std::uint32_t MaxComparatorBanks = 1024;
+constexpr std::uint32_t MaxLocalVarSlots = 1u << 16;
+
+/// Checks the geometry the tracer's tables are built from: words per line
+/// and both timestamp-table entry counts at least one, an associativity of
+/// at least one that divides both entry counts, and every table, the bank
+/// count and the slot count within the caps above. Returns an empty string
+/// when the geometry is usable, otherwise what is wrong with it.
+inline std::string checkTracerGeometry(const HydraConfig &Cfg) {
+  const struct {
+    const char *Field;
+    std::uint32_t Value, Min, Max;
+  } Ranges[] = {
+      {"words per line", Cfg.WordsPerLine, 1, MaxWordsPerLine},
+      {"load timestamp entries", Cfg.LoadTimestampEntries, 1,
+       MaxTracerTableEntries},
+      {"store timestamp entries", Cfg.StoreTimestampEntries, 1,
+       MaxTracerTableEntries},
+      {"overflow table associativity", Cfg.OverflowTableAssoc, 1,
+       MaxTracerTableEntries},
+      {"history lines", Cfg.HeapTimestampFifoLines, 0, MaxTracerTableEntries},
+      {"comparator banks", Cfg.ComparatorBanks, 0, MaxComparatorBanks},
+      {"local variable slots", Cfg.LocalVarSlots, 0, MaxLocalVarSlots},
+  };
+  for (const auto &R : Ranges)
+    if (R.Value < R.Min || R.Value > R.Max)
+      return std::string(R.Field) + " " + std::to_string(R.Value) +
+             " outside " + std::to_string(R.Min) + ".." +
+             std::to_string(R.Max);
+  if (Cfg.LoadTimestampEntries % Cfg.OverflowTableAssoc != 0 ||
+      Cfg.StoreTimestampEntries % Cfg.OverflowTableAssoc != 0)
+    return "overflow table associativity " +
+           std::to_string(Cfg.OverflowTableAssoc) +
+           " does not divide the timestamp entry counts";
+  return {};
+}
 
 } // namespace sim
 } // namespace jrpm

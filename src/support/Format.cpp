@@ -52,3 +52,20 @@ std::string jrpm::asKiloCycles(std::uint64_t Cycles) {
   return formatString("%lluK",
                       static_cast<unsigned long long>((Cycles + 500) / 1000));
 }
+
+bool jrpm::parseUnsigned(const std::string &Text, std::uint64_t Max,
+                         std::uint64_t &Out) {
+  if (Text.empty())
+    return false;
+  std::uint64_t V = 0;
+  for (char C : Text) {
+    if (C < '0' || C > '9')
+      return false;
+    const std::uint64_t Digit = static_cast<std::uint64_t>(C - '0');
+    if (Digit > Max || V > (Max - Digit) / 10)
+      return false;
+    V = V * 10 + Digit;
+  }
+  Out = V;
+  return true;
+}

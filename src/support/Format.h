@@ -27,6 +27,12 @@ std::string asPercent(double Ratio, int Decimals = 2);
 /// Renders a cycle count the way the paper prints Table 3 ("18941K").
 std::string asKiloCycles(std::uint64_t Cycles);
 
+/// Strict decimal parse for command-line and plan values: \p Text must be
+/// one or more digits (no sign, space or suffix) naming a value no larger
+/// than \p Max. Returns false, leaving \p Out untouched, otherwise.
+bool parseUnsigned(const std::string &Text, std::uint64_t Max,
+                   std::uint64_t &Out);
+
 } // namespace jrpm
 
 #endif // JRPM_SUPPORT_FORMAT_H

@@ -2,6 +2,7 @@
 
 #include "sweep/SweepPlan.h"
 
+#include "support/Format.h"
 #include "workloads/Workload.h"
 
 #include <algorithm>
@@ -119,6 +120,14 @@ bool ConfigPoint::apply(pipeline::PipelineConfig &Cfg,
     }
     K->Set(Cfg, Value);
   }
+  // The assoc/banks/history/slots knobs reach the TraceEngine constructor;
+  // a geometry it cannot build fails the plan instead of the process.
+  std::string Why = sim::checkTracerGeometry(Cfg.Hw);
+  if (!Why.empty()) {
+    if (Err)
+      *Err = "config point '" + name() + "': " + Why;
+    return false;
+  }
   return true;
 }
 
@@ -140,14 +149,13 @@ bool sweep::parseConfigPoint(const std::string &Spec, ConfigPoint &Out,
       return false;
     }
     std::string Key = Item.substr(0, Eq);
-    std::string ValStr = Item.substr(Eq + 1);
-    if (ValStr.find_first_not_of("0123456789") != std::string::npos) {
+    std::uint64_t Val = 0;
+    if (!parseUnsigned(Item.substr(Eq + 1), UINT32_MAX, Val)) {
       if (Err)
-        *Err = "non-numeric value in knob '" + Item + "'";
+        *Err = "non-numeric or out-of-range value in knob '" + Item + "'";
       return false;
     }
-    Out.Knobs.emplace_back(
-        Key, static_cast<std::uint32_t>(std::stoul(ValStr)));
+    Out.Knobs.emplace_back(Key, static_cast<std::uint32_t>(Val));
     Pos = Comma + 1;
   }
   return true;

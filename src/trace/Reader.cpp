@@ -233,12 +233,10 @@ bool Reader::next(Event &E) {
 std::uint64_t trace::replay(Reader &R, interp::TraceSink &Sink) {
   Event E;
   std::uint64_t N = 0;
-  interp::EventBlock *Blk = Sink.eventBlock();
   while (R.next(E)) {
-    dispatchEventBatched(E, Sink, Blk);
+    dispatchEvent(E, Sink);
     ++N;
   }
-  interp::drainPending(Sink, Blk);
   return N;
 }
 

@@ -11,7 +11,6 @@
 #ifndef JRPM_TRACE_READER_H
 #define JRPM_TRACE_READER_H
 
-#include "interp/EventBlock.h"
 #include "interp/TraceSink.h"
 #include "trace/Wire.h"
 
@@ -114,51 +113,8 @@ inline void dispatchEvent(const Event &E, interp::TraceSink &Sink) {
   }
 }
 
-/// Block-aware dispatch: the zero-cost kinds (and `eoi`, when the sink
-/// opts in to deferring it) go through the shared emit helpers (appended
-/// to \p Blk, drained when it fills), the remaining control kinds drain
-/// pending events first and then dispatch virtually — the exact
-/// discipline the live interpreter uses, so a replayed stream reaches the
-/// sink in the same batches as a live one. With \p Blk == nullptr this
-/// degenerates to dispatchEvent(). Callers must drainPending() after the
-/// final event.
-inline void dispatchEventBatched(const Event &E, interp::TraceSink &Sink,
-                                 interp::EventBlock *Blk) {
-  switch (E.Kind) {
-  case EventKind::HeapLoad:
-    interp::emitHeapLoad(Sink, Blk, E.Addr, E.Cycle, E.Pc);
-    break;
-  case EventKind::HeapStore:
-    interp::emitHeapStore(Sink, Blk, E.Addr, E.Cycle, E.Pc);
-    break;
-  case EventKind::LocalLoad:
-    interp::emitLocalLoad(Sink, Blk, E.Activation, E.Reg, E.Cycle, E.Pc);
-    break;
-  case EventKind::LocalStore:
-    interp::emitLocalStore(Sink, Blk, E.Activation, E.Reg, E.Cycle, E.Pc);
-    break;
-  case EventKind::CallSite:
-    interp::emitCallSite(Sink, Blk, E.Pc, E.Cycle);
-    break;
-  case EventKind::CallReturn:
-    interp::emitCallReturn(Sink, Blk, E.Cycle);
-    break;
-  case EventKind::LoopIter:
-    interp::emitLoopIter(Sink, Blk, E.LoopId, E.Cycle);
-    break;
-  case EventKind::LoopStart:
-  case EventKind::LoopEnd:
-  case EventKind::Return:
-  case EventKind::ReadStats:
-    interp::drainPending(Sink, Blk);
-    dispatchEvent(E, Sink);
-    break;
-  }
-}
-
 /// Re-drives \p Sink with every event of \p R. Returns the number of
-/// events replayed. Throws Error on any corruption. Batch-capable sinks
-/// are fed through their EventBlock.
+/// events replayed. Throws Error on any corruption.
 std::uint64_t replay(Reader &R, interp::TraceSink &Sink);
 
 /// Event-by-event comparison of two traces for golden-trace regression.

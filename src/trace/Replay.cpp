@@ -76,10 +76,8 @@ CachedTrace::CachedTrace(const std::string &Path) {
 }
 
 std::uint64_t CachedTrace::replay(interp::TraceSink &Sink) const {
-  interp::EventBlock *Blk = Sink.eventBlock();
   for (const Event &E : Events)
-    dispatchEventBatched(E, Sink, Blk);
-  interp::drainPending(Sink, Blk);
+    dispatchEvent(E, Sink);
   return Events.size();
 }
 

@@ -104,6 +104,11 @@ sim::HydraConfig parseHw(const std::uint8_t *&P, const std::uint8_t *End) {
   Hw.Costs.FloatDiv = U32();
   Hw.Costs.FloatSqrt = U32();
   Hw.Costs.CallOverhead = U32();
+  // Checksums only catch damage; a well-formed header can still name a
+  // tracer geometry the TraceEngine tables cannot be built from.
+  std::string Why = sim::checkTracerGeometry(Hw);
+  if (!Why.empty())
+    throw Error(ErrorKind::BadRecord, "tracer geometry: " + Why);
   return Hw;
 }
 

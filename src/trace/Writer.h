@@ -10,7 +10,6 @@
 #ifndef JRPM_TRACE_WRITER_H
 #define JRPM_TRACE_WRITER_H
 
-#include "interp/EventBlock.h"
 #include "interp/TraceSink.h"
 #include "trace/Wire.h"
 
@@ -56,82 +55,10 @@ private:
 /// TraceSink tee: records every event into \p W and forwards it to the
 /// optional downstream sink, returning the downstream's cycle charges so
 /// the captured run is cycle-identical to an unrecorded one.
-///
-/// Batching is zero-copy: when the downstream sink exposes an EventBlock
-/// the tee hands that same block to the producer, and on drain writes the
-/// pending events to the Writer before delegating the drain downstream —
-/// so the recorded order equals the consumed order by construction. With
-/// no downstream the tee batches into its own block; with an unbatched
-/// downstream it stays on the per-event path (eventBlock() == nullptr) so
-/// the downstream's cycle charges keep flowing back per event.
 class RecordingSink : public interp::TraceSink {
 public:
   explicit RecordingSink(Writer &W, interp::TraceSink *Downstream = nullptr)
-      : W(W), Down(Downstream),
-        DownBlk(Downstream ? Downstream->eventBlock() : nullptr) {}
-
-  interp::EventBlock *eventBlock() override {
-    return Down ? DownBlk : &OwnBlock;
-  }
-
-  void drainBlock() override {
-    interp::EventBlock *Blk = Down ? DownBlk : &OwnBlock;
-    if (!Blk)
-      return;
-    const interp::BatchedEvent *Ev = Blk->data();
-    for (std::uint32_t I = 0, N = Blk->size(); I < N; ++I) {
-      Event E;
-      switch (Ev[I].Tag) {
-      case interp::EventTag::HeapLoad:
-        E.Kind = EventKind::HeapLoad;
-        E.Addr = Ev[I].Addr;
-        E.Cycle = Ev[I].Cycle;
-        E.Pc = Ev[I].Pc;
-        break;
-      case interp::EventTag::HeapStore:
-        E.Kind = EventKind::HeapStore;
-        E.Addr = Ev[I].Addr;
-        E.Cycle = Ev[I].Cycle;
-        E.Pc = Ev[I].Pc;
-        break;
-      case interp::EventTag::LocalLoad:
-        E.Kind = EventKind::LocalLoad;
-        E.Activation = Ev[I].Activation;
-        E.Reg = Ev[I].Reg;
-        E.Cycle = Ev[I].Cycle;
-        E.Pc = Ev[I].Pc;
-        break;
-      case interp::EventTag::LocalStore:
-        E.Kind = EventKind::LocalStore;
-        E.Activation = Ev[I].Activation;
-        E.Reg = Ev[I].Reg;
-        E.Cycle = Ev[I].Cycle;
-        E.Pc = Ev[I].Pc;
-        break;
-      case interp::EventTag::CallSite:
-        E.Kind = EventKind::CallSite;
-        E.Pc = Ev[I].Pc;
-        E.Cycle = Ev[I].Cycle;
-        break;
-      case interp::EventTag::CallReturn:
-        E.Kind = EventKind::CallReturn;
-        E.Cycle = Ev[I].Cycle;
-        break;
-      case interp::EventTag::LoopIter:
-        // Present only when the downstream sink opted in to deferred eoi
-        // (the tee itself never sets the flag on its own block).
-        E.Kind = EventKind::LoopIter;
-        E.LoopId = Ev[I].Addr;
-        E.Cycle = Ev[I].Cycle;
-        break;
-      }
-      W.append(E);
-    }
-    if (Down)
-      Down->drainBlock();
-    else
-      OwnBlock.clear();
-  }
+      : W(W), Down(Downstream) {}
 
   std::uint32_t onHeapLoad(std::uint32_t Addr, std::uint64_t Cycle,
                            std::int32_t Pc) override {
@@ -240,8 +167,6 @@ public:
 private:
   Writer &W;
   interp::TraceSink *Down;
-  interp::EventBlock *DownBlk;
-  interp::EventBlock OwnBlock; ///< used only when there is no downstream
 };
 
 } // namespace trace

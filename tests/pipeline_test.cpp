@@ -90,3 +90,16 @@ TEST(Pipeline, PcBinningIdentifiesDependencySites) {
       FoundBins = true;
   EXPECT_TRUE(FoundBins);
 }
+
+TEST(Pipeline, DisableAfterThreadsPinsLiveProfileCycles) {
+  // Disabled loops stop charging for their annotations, which the live
+  // profiled cycle count shows directly. Pinned figures for BitOps.
+  const workloads::Workload *W = workloads::findWorkload("BitOps");
+  ASSERT_NE(W, nullptr);
+  PipelineConfig Default;
+  PipelineConfig Disabling;
+  Disabling.DisableLoopAfterThreads = 100;
+  EXPECT_EQ(Jrpm(W->Build(), Default).profileAndSelect().Run.Cycles, 862031u);
+  EXPECT_EQ(Jrpm(W->Build(), Disabling).profileAndSelect().Run.Cycles,
+            861911u);
+}

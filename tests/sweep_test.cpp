@@ -142,6 +142,28 @@ TEST(SweepPlanTest, UnknownKnobFailsExpansion) {
   EXPECT_NE(Err.find("warp-drive"), std::string::npos);
 }
 
+TEST(SweepPlanTest, BadTracerGeometryFailsExpansion) {
+  // The assoc/banks/history/slots knobs reach the TraceEngine constructor;
+  // each bad value fails the plan rather than the process.
+  for (const char *Spec : {"assoc=0", "assoc=3", "banks=4294967295",
+                           "history=100000", "slots=100000"}) {
+    ConfigPoint P;
+    std::string Err;
+    ASSERT_TRUE(parseConfigPoint(Spec, P, &Err)) << Spec << ": " << Err;
+    SweepPlan Plan;
+    Plan.Workloads = {"Huffman"};
+    Plan.Configs.push_back(P);
+    std::vector<SweepJob> Jobs;
+    EXPECT_FALSE(Plan.expand(Jobs, &Err)) << Spec;
+    EXPECT_NE(Err.find(Spec), std::string::npos) << Err;
+  }
+  // Values past 32 bits are rejected while parsing.
+  ConfigPoint P;
+  std::string Err;
+  EXPECT_FALSE(parseConfigPoint("banks=4294967296", P, &Err));
+  EXPECT_FALSE(parseConfigPoint("banks=99999999999999999999999", P, &Err));
+}
+
 TEST(SweepPlanTest, CartesianExpansionOrderAndIndices) {
   SweepPlan Plan;
   Plan.Workloads = {"fft", "Huffman"};

@@ -1,7 +1,9 @@
 //===- tests/trace_fuzz_test.cpp - Reader robustness under corruption ------==//
 //
 // Bit-flips, truncations, splices, and garbage must all surface as typed
-// trace::Error — never UB, a crash, or a silently-wrong analysis. The
+// trace::Error — never UB, a crash, or a silently-wrong analysis. So must
+// a well-formed header (valid checksums) that names a tracer geometry the
+// TraceEngine tables cannot be built from. The
 // whole suite runs under -DJRPM_SANITIZE=ON in CI (scripts/ci_sanitize.sh),
 // so any out-of-bounds access or overflow in the decoder is fatal here.
 //
@@ -10,6 +12,7 @@
 #include "jrpm/Pipeline.h"
 #include "support/Prng.h"
 #include "trace/Replay.h"
+#include "trace/Writer.h"
 #include "workloads/Workload.h"
 
 #include <gtest/gtest.h>
@@ -278,4 +281,95 @@ TEST_F(TraceFuzz, ErrorsCarryKindAndMessage) {
     EXPECT_NE(std::string(E.what()).find("no.jtrace"), std::string::npos);
   }
   std::remove(Mutant.c_str());
+}
+
+namespace {
+
+/// One crafted header field for the geometry cases below.
+struct GeometryCase {
+  const char *Name;
+  void (*Mutate)(sim::HydraConfig &);
+};
+
+const GeometryCase GeometryCases[] = {
+    {"AssocZero", [](sim::HydraConfig &H) { H.OverflowTableAssoc = 0; }},
+    {"LoadEntriesZero",
+     [](sim::HydraConfig &H) { H.LoadTimestampEntries = 0; }},
+    {"StoreEntriesZero",
+     [](sim::HydraConfig &H) { H.StoreTimestampEntries = 0; }},
+    {"WordsPerLineZero", [](sim::HydraConfig &H) { H.WordsPerLine = 0; }},
+    {"AssocNotDividingEntries",
+     [](sim::HydraConfig &H) { H.OverflowTableAssoc = 3; }},
+    {"BanksOverCap",
+     [](sim::HydraConfig &H) { H.ComparatorBanks = 0xFFFFFFFFu; }},
+    {"SlotsOverCap",
+     [](sim::HydraConfig &H) {
+       H.LocalVarSlots = sim::MaxLocalVarSlots + 1;
+     }},
+    {"HistoryOverCap",
+     [](sim::HydraConfig &H) {
+       H.HeapTimestampFifoLines = sim::MaxTracerTableEntries + 1;
+     }},
+    {"WordsPerLineOverCap",
+     [](sim::HydraConfig &H) { H.WordsPerLine = sim::MaxWordsPerLine + 1; }},
+    {"LoadEntriesOverCap",
+     [](sim::HydraConfig &H) {
+       H.LoadTimestampEntries = sim::MaxTracerTableEntries * 2;
+     }},
+};
+
+void PrintTo(const GeometryCase &C, std::ostream *OS) { *OS << C.Name; }
+
+class TraceGeometry : public ::testing::TestWithParam<GeometryCase> {};
+
+} // namespace
+
+TEST_P(TraceGeometry, CraftedHeaderIsRejectedAsBadRecord) {
+  // trace::Writer computes valid checksums, so only the geometry check can
+  // catch these; replay must not reach the TraceEngine constructor.
+  trace::TraceHeader H;
+  H.WorkloadName = "crafted";
+  H.LoopLocals.resize(2);
+  GetParam().Mutate(H.Hw);
+  ASSERT_FALSE(sim::checkTracerGeometry(H.Hw).empty());
+  const std::string Path =
+      tmpPath(std::string("geometry-") + GetParam().Name);
+  {
+    trace::Writer W(Path, H);
+    W.finish(trace::RunInfo{});
+  }
+  std::optional<trace::ErrorKind> Err = strictRead(Path);
+  ASSERT_TRUE(Err.has_value());
+  EXPECT_EQ(*Err, trace::ErrorKind::BadRecord);
+  EXPECT_THROW(
+      {
+        trace::Reader R(Path);
+        trace::selectFromTrace(R);
+      },
+      trace::Error);
+  std::remove(Path.c_str());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Fields, TraceGeometry, ::testing::ValuesIn(GeometryCases),
+    [](const ::testing::TestParamInfo<GeometryCase> &I) {
+      return std::string(I.param.Name);
+    });
+
+TEST(TraceGeometryCheck, DefaultAndCapGeometriesAreAccepted) {
+  sim::HydraConfig Hw;
+  EXPECT_EQ(sim::checkTracerGeometry(Hw), "");
+  Hw.WordsPerLine = sim::MaxWordsPerLine;
+  Hw.LoadTimestampEntries = sim::MaxTracerTableEntries;
+  Hw.StoreTimestampEntries = sim::MaxTracerTableEntries;
+  Hw.OverflowTableAssoc = 8;
+  Hw.HeapTimestampFifoLines = sim::MaxTracerTableEntries;
+  Hw.ComparatorBanks = sim::MaxComparatorBanks;
+  Hw.LocalVarSlots = sim::MaxLocalVarSlots;
+  EXPECT_EQ(sim::checkTracerGeometry(Hw), "");
+  // Zero banks, slots and history lines are degenerate but buildable.
+  Hw.ComparatorBanks = 0;
+  Hw.LocalVarSlots = 0;
+  Hw.HeapTimestampFifoLines = 0;
+  EXPECT_EQ(sim::checkTracerGeometry(Hw), "");
 }

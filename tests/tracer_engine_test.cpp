@@ -1,16 +1,21 @@
 //===- tests/tracer_engine_test.cpp - Comparator-bank analysis tests -------==//
 //
 // Drives the TraceEngine with synthetic event streams that mirror the
-// paper's Figure 3 and Figure 4 walk-throughs.
+// paper's Figure 3 and Figure 4 walk-throughs, pins the full observable
+// surface of two mixed streams, and checks the annotation cycle charges.
 //
 //===----------------------------------------------------------------------===//
 
+#include "metrics/Metrics.h"
 #include "sim/Config.h"
+#include "trace/Reader.h"
 #include "tracer/TraceEngine.h"
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <string>
 #include <utility>
 
 using namespace jrpm;
@@ -31,6 +36,168 @@ std::vector<LoopTraceInfo> loops(std::size_t N,
   for (auto &Info : L)
     Info.AnnotatedLocals = Locals;
   return L;
+}
+
+/// Builds trace::Event streams for trace::dispatchEvent.
+struct EventBuilder {
+  std::vector<trace::Event> Ev;
+
+  trace::Event &add(trace::EventKind K, std::uint64_t Cycle) {
+    trace::Event E;
+    E.Kind = K;
+    E.Cycle = Cycle;
+    Ev.push_back(E);
+    return Ev.back();
+  }
+  void heapLoad(std::uint32_t Addr, std::uint64_t Cycle, std::int32_t Pc) {
+    trace::Event &E = add(trace::EventKind::HeapLoad, Cycle);
+    E.Addr = Addr;
+    E.Pc = Pc;
+  }
+  void heapStore(std::uint32_t Addr, std::uint64_t Cycle, std::int32_t Pc) {
+    trace::Event &E = add(trace::EventKind::HeapStore, Cycle);
+    E.Addr = Addr;
+    E.Pc = Pc;
+  }
+  void localLoad(std::uint64_t Act, std::uint16_t Reg, std::uint64_t Cycle,
+                 std::int32_t Pc) {
+    trace::Event &E = add(trace::EventKind::LocalLoad, Cycle);
+    E.Activation = Act;
+    E.Reg = Reg;
+    E.Pc = Pc;
+  }
+  void localStore(std::uint64_t Act, std::uint16_t Reg, std::uint64_t Cycle,
+                  std::int32_t Pc) {
+    trace::Event &E = add(trace::EventKind::LocalStore, Cycle);
+    E.Activation = Act;
+    E.Reg = Reg;
+    E.Pc = Pc;
+  }
+  void loopStart(std::uint32_t LoopId, std::uint64_t Act,
+                 std::uint64_t Cycle) {
+    trace::Event &E = add(trace::EventKind::LoopStart, Cycle);
+    E.LoopId = LoopId;
+    E.Activation = Act;
+  }
+  void loopIter(std::uint32_t LoopId, std::uint64_t Cycle) {
+    add(trace::EventKind::LoopIter, Cycle).LoopId = LoopId;
+  }
+  void loopEnd(std::uint32_t LoopId, std::uint64_t Cycle) {
+    add(trace::EventKind::LoopEnd, Cycle).LoopId = LoopId;
+  }
+  void ret(std::uint64_t Act) {
+    add(trace::EventKind::Return, 0).Activation = Act;
+  }
+  void callSite(std::int32_t Pc, std::uint64_t Cycle) {
+    add(trace::EventKind::CallSite, Cycle).Pc = Pc;
+  }
+  void callReturn(std::uint64_t Cycle) {
+    add(trace::EventKind::CallReturn, Cycle);
+  }
+  void readStats(std::uint32_t LoopId, std::uint64_t Cycle) {
+    add(trace::EventKind::ReadStats, Cycle).LoopId = LoopId;
+  }
+};
+
+/// A stream that mixes events outside any loop, a single traced loop, a
+/// nested traced pair, a third nest over the two-bank budget (untraced
+/// frame), local variables with shadowing reservations across two
+/// activations, call markers, an unbalanced exit via return, and a
+/// readstats probe.
+std::vector<trace::Event> mixedStream() {
+  EventBuilder B;
+  std::uint64_t C = 0;
+  // Outside any loop: heap traffic only feeds the store history.
+  B.heapStore(100, ++C, 1);
+  B.heapLoad(100, ++C, 2);
+  B.localStore(7, 3, ++C, 3); // no reservation: ignored
+  // One traced bank.
+  B.loopStart(0, /*act*/ 7, ++C);
+  B.localStore(7, 3, ++C, 4);
+  B.heapStore(104, ++C, 5);
+  B.loopIter(0, ++C);
+  B.heapLoad(104, ++C, 6);   // prev-thread arc
+  B.localLoad(7, 3, ++C, 7); // prev-thread local arc
+  B.loopIter(0, ++C);
+  B.heapLoad(104, ++C, 19); // store predates the previous thread: earlier arc
+  // Nested traced bank with a shadowed register: reg 3 is already
+  // reserved by loop 0's frame of the same activation.
+  B.loopStart(1, 7, ++C);
+  B.localStore(7, 3, ++C, 8); // resolves to loop 0's slot
+  B.localStore(7, 4, ++C, 9); // loop 1's own slot
+  B.callSite(41, ++C);
+  B.callReturn(++C);
+  // Third nest: over the two-bank budget, so the frame is untraced.
+  B.loopStart(2, 9, ++C);
+  B.localLoad(9, 5, ++C, 10); // activation 9 has no reservations
+  B.loopIter(2, ++C);         // untraced frame: no bank iterates
+  B.loopIter(1, ++C);
+  B.localLoad(7, 4, ++C, 11); // prev-thread arc in the nested bank
+  B.heapStore(108, ++C, 12);
+  B.loopIter(1, ++C);
+  B.heapLoad(108, ++C, 13); // prev-thread arc
+  B.heapLoad(104, ++C, 14); // earlier-thread arc
+  B.loopEnd(2, ++C);
+  B.readStats(1, ++C);
+  B.loopIter(0, ++C);
+  B.loopEnd(1, ++C); // closes the nested bank
+  // Unbalanced exit: return pops activation 7's remaining frame.
+  B.ret(7);
+  // Re-enter with a fresh activation to recycle released slots.
+  B.loopStart(0, 11, ++C);
+  B.localStore(11, 3, ++C, 15);
+  B.loopIter(0, ++C);
+  B.localLoad(11, 3, ++C, 16);
+  B.heapStore(112, ++C, 17);
+  B.loopIter(0, ++C);
+  B.heapLoad(112, ++C, 18);
+  B.loopEnd(0, ++C);
+  return B.Ev;
+}
+
+/// One traced loop of six threads, each storing a word the next thread
+/// loads, run with a disable threshold of three threads.
+std::vector<trace::Event> disabledLoopStream() {
+  EventBuilder B;
+  std::uint64_t C = 0;
+  B.loopStart(0, 7, ++C);
+  for (int I = 0; I < 6; ++I) {
+    B.heapStore(100, ++C, 1);
+    B.loopIter(0, ++C);
+    B.heapLoad(100, ++C, 2);
+  }
+  B.loopEnd(0, ++C);
+  return B.Ev;
+}
+
+/// StlStats from its counters, in declaration order, plus its PC bins.
+StlStats stlStats(std::uint64_t Cycles, std::uint64_t Threads,
+                  std::uint64_t Entries, std::uint64_t Untraced,
+                  std::uint64_t ArcsPrev, std::uint64_t LenPrev,
+                  std::uint64_t ArcsEarlier, std::uint64_t LenEarlier,
+                  std::uint64_t Overflow, std::uint64_t MaxLoad,
+                  std::uint64_t MaxStore,
+                  std::map<std::int32_t, PcBinStats> Bins) {
+  StlStats S;
+  S.Cycles = Cycles;
+  S.Threads = Threads;
+  S.Entries = Entries;
+  S.UntracedEntries = Untraced;
+  S.CritArcsPrev = ArcsPrev;
+  S.CritLenPrev = LenPrev;
+  S.CritArcsEarlier = ArcsEarlier;
+  S.CritLenEarlier = LenEarlier;
+  S.OverflowThreads = Overflow;
+  S.MaxLoadLines = MaxLoad;
+  S.MaxStoreLines = MaxStore;
+  S.PcBins = std::move(Bins);
+  return S;
+}
+
+std::string metricsJson(const TraceEngine &E) {
+  metrics::Registry R;
+  E.exportMetrics(R);
+  return R.toJson().dump();
 }
 
 } // namespace
@@ -401,4 +568,169 @@ TEST(TraceEngine, OutOfOrderELoopClosesInnerBanks) {
   E.onLoopEnd(0, 120);
   EXPECT_EQ(E.stats(0).Entries, 2u);
   EXPECT_EQ(E.stats(1).Entries, 2u);
+}
+
+// The two stream pins below hold the values the engine produced for these
+// streams before the batched event transport was removed, so they carry
+// forward what the block-vs-per-event differential tests compared.
+
+TEST(TraceEngine, MixedStreamPinsFullObservableSurface) {
+  TraceEngine E(smallConfig(), loops(3, {3, 4}), /*ExtendedPcBinning=*/true);
+  for (const trace::Event &Ev : mixedStream())
+    trace::dispatchEvent(Ev, E);
+
+  EXPECT_EQ(E.stats(0), stlStats(32, 7, 2, 0, 3, 6, 1, 5, 0, 2, 1,
+                                 {{6, {1, 2}},
+                                  {16, {1, 2}},
+                                  {18, {1, 2}},
+                                  {19, {1, 5}}}));
+  EXPECT_EQ(E.stats(1),
+            stlStats(17, 3, 1, 0, 2, 9, 0, 0, 0, 2, 1, {{11, {1, 7}},
+                                                        {13, {1, 2}}}));
+  EXPECT_EQ(E.stats(2), stlStats(0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, {}));
+  EXPECT_EQ(E.dynamicParents(), (std::vector<int>{-1, 0, 1}));
+  EXPECT_EQ(E.peakBanksInUse(), 2u);
+  EXPECT_EQ(E.peakLocalSlots(), 2u);
+  EXPECT_EQ(E.peakDynamicNest(), 3u);
+  EXPECT_EQ(metricsJson(E), R"({
+  "counters": {
+    "tracer.crit_arcs_earlier": 1,
+    "tracer.crit_arcs_prev": 5,
+    "tracer.crit_len_earlier": 5,
+    "tracer.crit_len_prev": 15,
+    "tracer.entries": 3,
+    "tracer.events.heap_load": 6,
+    "tracer.events.heap_store": 4,
+    "tracer.events.local_load": 4,
+    "tracer.events.local_store": 5,
+    "tracer.events.loop_end": 3,
+    "tracer.events.loop_iter": 8,
+    "tracer.events.loop_start": 4,
+    "tracer.events.read_stats": 1,
+    "tracer.events.return": 1,
+    "tracer.heap_ts.evictions": 0,
+    "tracer.line_table.evictions": 0,
+    "tracer.local_ts.release_errors": 0,
+    "tracer.overflow_threads": 0,
+    "tracer.threads": 10,
+    "tracer.untraced_entries": 1
+  },
+  "gauges": {
+    "tracer.heap_ts.peak_occupancy": 4,
+    "tracer.line_table.peak_occupancy": 6,
+    "tracer.peak_banks": 2,
+    "tracer.peak_local_slots": 2,
+    "tracer.peak_nest": 3
+  },
+  "histograms": {
+    "tracer.thread_size_cycles": {
+      "count": 10,
+      "max": 18,
+      "mean": 4.9000000000000004,
+      "min": 1,
+      "p50": 3,
+      "p95": 18,
+      "p99": 18,
+      "sum": 49
+    }
+  },
+  "schema": "jrpm-metrics-v1"
+}
+)");
+}
+
+TEST(TraceEngine, DisabledLoopStreamPinsFullObservableSurface) {
+  // The threshold is checked when a loop is entered, so the one entry here
+  // stays traced for all six threads.
+  TraceEngine E(smallConfig(), loops(1), /*ExtendedPcBinning=*/true);
+  E.setDisableLoopAfterThreads(3);
+  for (const trace::Event &Ev : disabledLoopStream())
+    trace::dispatchEvent(Ev, E);
+
+  EXPECT_EQ(E.stats(0),
+            stlStats(19, 7, 1, 0, 6, 12, 0, 0, 0, 1, 1, {{2, {6, 12}}}));
+  EXPECT_EQ(E.dynamicParents(), (std::vector<int>{-1}));
+  EXPECT_EQ(E.peakBanksInUse(), 1u);
+  EXPECT_EQ(E.peakLocalSlots(), 0u);
+  EXPECT_EQ(E.peakDynamicNest(), 1u);
+  EXPECT_EQ(metricsJson(E), R"({
+  "counters": {
+    "tracer.crit_arcs_earlier": 0,
+    "tracer.crit_arcs_prev": 6,
+    "tracer.crit_len_earlier": 0,
+    "tracer.crit_len_prev": 12,
+    "tracer.entries": 1,
+    "tracer.events.heap_load": 6,
+    "tracer.events.heap_store": 6,
+    "tracer.events.local_load": 0,
+    "tracer.events.local_store": 0,
+    "tracer.events.loop_end": 1,
+    "tracer.events.loop_iter": 6,
+    "tracer.events.loop_start": 1,
+    "tracer.events.read_stats": 0,
+    "tracer.events.return": 0,
+    "tracer.heap_ts.evictions": 0,
+    "tracer.line_table.evictions": 0,
+    "tracer.local_ts.release_errors": 0,
+    "tracer.overflow_threads": 0,
+    "tracer.threads": 7,
+    "tracer.untraced_entries": 0
+  },
+  "gauges": {
+    "tracer.heap_ts.peak_occupancy": 1,
+    "tracer.line_table.peak_occupancy": 2,
+    "tracer.peak_banks": 1,
+    "tracer.peak_local_slots": 0,
+    "tracer.peak_nest": 1
+  },
+  "histograms": {
+    "tracer.thread_size_cycles": {
+      "count": 7,
+      "max": 3,
+      "mean": 2.7142857142857144,
+      "min": 2,
+      "p50": 3,
+      "p95": 3,
+      "p99": 3,
+      "sum": 19
+    }
+  },
+  "schema": "jrpm-metrics-v1"
+}
+)");
+}
+
+TEST(TraceEngine, AnnotationChargesCostMinusOneUntilLoopIsDisabled) {
+  sim::HydraConfig Cfg;
+  Cfg.SLoopCost = 5;
+  Cfg.ELoopCost = 7;
+  Cfg.EoiCost = 3;
+  Cfg.ReadStatsCost = 11;
+  TraceEngine E(Cfg, loops(1));
+  E.setDisableLoopAfterThreads(3);
+
+  // Entry 1, enabled (threads 0 -> 2): every annotation charges its
+  // configured cost minus the instruction's own cycle.
+  EXPECT_EQ(E.onLoopStart(0, 1, 0), 4u);
+  EXPECT_EQ(E.onLoopIter(0, 10), 2u);
+  EXPECT_EQ(E.onReadStats(0, 15), 10u);
+  EXPECT_EQ(E.onLoopEnd(0, 20), 6u);
+  EXPECT_EQ(E.stats(0).Threads, 2u);
+
+  // Entry 2 is still traced. Its first eoi reaches the threshold, but an
+  // eoi on a traced bank keeps charging; the eloop that follows finds the
+  // loop disabled and charges nothing.
+  EXPECT_EQ(E.onLoopStart(0, 1, 100), 4u);
+  EXPECT_EQ(E.onLoopIter(0, 110), 2u);
+  EXPECT_EQ(E.stats(0).Threads, 3u);
+  EXPECT_EQ(E.onLoopIter(0, 120), 2u);
+  EXPECT_EQ(E.onLoopEnd(0, 130), 0u);
+
+  // Entry 3: disabled with no traced bank, so every annotation is free.
+  EXPECT_EQ(E.onLoopStart(0, 1, 200), 0u);
+  EXPECT_EQ(E.onLoopIter(0, 210), 0u);
+  EXPECT_EQ(E.onReadStats(0, 215), 0u);
+  EXPECT_EQ(E.onLoopEnd(0, 220), 0u);
+  EXPECT_EQ(E.stats(0).Entries, 2u);
+  EXPECT_EQ(E.stats(0).UntracedEntries, 1u);
 }

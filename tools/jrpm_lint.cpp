@@ -27,6 +27,7 @@
 #include "support/Table.h"
 #include "workloads/Workload.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <string>
@@ -122,11 +123,10 @@ int main(int Argc, char **Argv) {
     } else if (A == "--jobs") {
       if (I + 1 >= Argc)
         return usage();
-      std::string V = Argv[++I];
-      if (V.empty() || V.find_first_not_of("0123456789") != std::string::npos ||
-          V == "0")
+      std::uint64_t V = 0;
+      if (!parseUnsigned(Argv[++I], UINT32_MAX, V) || V == 0)
         return usage();
-      Jobs = static_cast<unsigned>(std::stoul(V));
+      Jobs = static_cast<unsigned>(V);
     } else {
       return usage();
     }
@@ -160,8 +160,10 @@ int main(int Argc, char **Argv) {
   if (Jobs <= 1 || Targets.size() <= 1) {
     Work();
   } else {
+    // More threads than workloads would only idle.
+    const std::size_t Threads = std::min<std::size_t>(Jobs, Targets.size());
     std::vector<std::thread> Pool;
-    for (unsigned T = 0; T < Jobs; ++T)
+    for (std::size_t T = 0; T < Threads; ++T)
       Pool.emplace_back(Work);
     for (std::thread &T : Pool)
       T.join();

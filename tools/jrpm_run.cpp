@@ -23,8 +23,9 @@
 //   --banks <n>        number of comparator banks (default 8)
 //   --history <n>      heap store-timestamp FIFO lines (default 192)
 //   --disable-after <n> stop tracing a loop after n threads (default off)
-//   --trace-batch <n>  tracer event-block capacity, n >= 1 (results are
-//                      bit-identical for every capacity)
+//
+// Numeric values are plain decimal numbers; a malformed value or a tracer
+// geometry sim::checkTracerGeometry rejects prints usage and exits 2.
 //
 //===----------------------------------------------------------------------===//
 
@@ -41,7 +42,6 @@
 #include "jit/Annotator.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -61,8 +61,7 @@ int usage() {
                "       jrpm-run trace <workload> [--events <n>]\n"
                "options: --base --sync --line-grain --banks <n> "
                "--history <n> --disable-after <n>\n"
-               "         --trace-batch <n> --metrics <file.json> "
-               "--timeline <file.json>\n");
+               "         --metrics <file.json> --timeline <file.json>\n");
   return 2;
 }
 
@@ -93,7 +92,13 @@ Options parseOptions(int Argc, char **Argv, int First) {
         O.Ok = false;
         return;
       }
-      Out = static_cast<std::uint32_t>(std::atoi(Argv[++I]));
+      std::uint64_t V = 0;
+      if (!parseUnsigned(Argv[++I], UINT32_MAX, V)) {
+        std::fprintf(stderr, "bad value for %s: %s\n", A.c_str(), Argv[I]);
+        O.Ok = false;
+        return;
+      }
+      Out = static_cast<std::uint32_t>(V);
     };
     auto NextStr = [&](std::string &Out) {
       if (I + 1 >= Argc) {
@@ -117,19 +122,6 @@ Options parseOptions(int Argc, char **Argv, int First) {
       std::uint32_t N = 0;
       NextInt(N);
       O.Cfg.DisableLoopAfterThreads = N;
-    } else if (A == "--trace-batch" || A.rfind("--trace-batch=", 0) == 0) {
-      std::uint32_t N = 0;
-      if (A == "--trace-batch")
-        NextInt(N);
-      else
-        N = static_cast<std::uint32_t>(
-            std::atoi(A.c_str() + std::strlen("--trace-batch=")));
-      if (O.Ok && N == 0) {
-        std::fprintf(stderr, "--trace-batch requires a positive event "
-                             "count\n");
-        O.Ok = false;
-      }
-      O.Cfg.TraceBatchEvents = N;
     } else if (A == "--metrics")
       NextStr(O.MetricsPath);
     else if (A.rfind("--metrics=", 0) == 0)
@@ -142,6 +134,11 @@ Options parseOptions(int Argc, char **Argv, int First) {
       std::fprintf(stderr, "unknown option: %s\n", A.c_str());
       O.Ok = false;
     }
+  }
+  std::string Why = sim::checkTracerGeometry(O.Cfg.Hw);
+  if (O.Ok && !Why.empty()) {
+    std::fprintf(stderr, "bad tracer geometry: %s\n", Why.c_str());
+    O.Ok = false;
   }
   return O;
 }
@@ -259,17 +256,21 @@ int main(int Argc, char **Argv) {
     std::uint64_t Events = 40;
     for (int I = 3; I < Argc; ++I) {
       std::string A = Argv[I];
+      std::string Value;
       if (A == "--events") {
         if (I + 1 >= Argc) {
           std::fprintf(stderr, "missing value for --events\n");
           return usage();
         }
-        Events = static_cast<std::uint64_t>(std::atoll(Argv[++I]));
+        Value = Argv[++I];
       } else if (A.rfind("--events=", 0) == 0) {
-        Events = static_cast<std::uint64_t>(
-            std::atoll(A.c_str() + std::strlen("--events=")));
+        Value = A.substr(std::strlen("--events="));
       } else {
         std::fprintf(stderr, "unknown option: %s\n", A.c_str());
+        return usage();
+      }
+      if (!parseUnsigned(Value, UINT64_MAX, Events)) {
+        std::fprintf(stderr, "bad value for --events: %s\n", Value.c_str());
         return usage();
       }
     }

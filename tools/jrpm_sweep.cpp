@@ -21,7 +21,8 @@
 //                       assoc banks disable-after history line-grain
 //                       load-lines pc-binning prefilter slots store-lines
 //                       sync
-//   --threads n         pool width (default: hardware concurrency)
+//   --threads n         pool width, at most 256 (default: hardware
+//                       concurrency)
 //   --timeout-ms n      soft per-job wall-clock budget
 //   --seed n            seed stamped into the report
 //   -o file.json        write the JSON report (atomic rename)
@@ -42,7 +43,6 @@
 #include "workloads/Workload.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -79,6 +79,9 @@ std::vector<std::string> splitCommas(const std::string &S) {
   return Out;
 }
 
+/// Upper bound on --threads: far above any host this runs on.
+constexpr unsigned MaxThreads = 256;
+
 struct CliOptions {
   sweep::SweepPlan Plan;
   unsigned Threads = 0;
@@ -101,6 +104,17 @@ CliOptions parseCli(int Argc, char **Argv, int First) {
         return "";
       }
       return Argv[++I];
+    };
+    // Strict decimal values: a negative --threads must not wrap into a
+    // request for four billion workers.
+    auto NextNum = [&](std::uint64_t Max) -> std::uint64_t {
+      const char *Text = NextArg();
+      std::uint64_t V = 0;
+      if (O.Ok && !parseUnsigned(Text, Max, V)) {
+        std::fprintf(stderr, "bad value for %s: %s\n", A.c_str(), Text);
+        O.Ok = false;
+      }
+      return V;
     };
     if (A == "--workloads") {
       O.Plan.Workloads = splitCommas(NextArg());
@@ -125,11 +139,11 @@ CliOptions parseCli(int Argc, char **Argv, int First) {
         O.Plan.Configs.push_back(std::move(P));
       }
     } else if (A == "--threads") {
-      O.Threads = static_cast<unsigned>(std::atoi(NextArg()));
+      O.Threads = static_cast<unsigned>(NextNum(MaxThreads));
     } else if (A == "--timeout-ms") {
-      O.Plan.TimeoutMs = static_cast<std::uint32_t>(std::atoi(NextArg()));
+      O.Plan.TimeoutMs = static_cast<std::uint32_t>(NextNum(UINT32_MAX));
     } else if (A == "--seed") {
-      O.Plan.Seed = static_cast<std::uint64_t>(std::atoll(NextArg()));
+      O.Plan.Seed = NextNum(UINT64_MAX);
     } else if (A == "-o") {
       O.OutPath = NextArg();
     } else if (A == "--metrics") {

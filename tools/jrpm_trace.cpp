@@ -22,6 +22,9 @@
 // Analysis options: --sync --line-grain --banks <n> --history <n>
 //                   --disable-after <n>
 //
+// Numeric values are plain decimal numbers; a malformed value or a tracer
+// geometry sim::checkTracerGeometry rejects prints usage and exits 2.
+//
 //===----------------------------------------------------------------------===//
 
 #include "jrpm/Pipeline.h"
@@ -32,8 +35,8 @@
 #include "workloads/Workload.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 
 using namespace jrpm;
@@ -58,10 +61,9 @@ struct OptionOverrides {
   bool Base = false;
   bool Sync = false;
   bool LineGrain = false;
-  std::uint32_t Banks = 0;
-  std::uint32_t History = 0;
-  std::uint64_t DisableAfter = 0;
-  bool HasDisableAfter = false;
+  std::optional<std::uint32_t> Banks;
+  std::optional<std::uint32_t> History;
+  std::optional<std::uint64_t> DisableAfter;
   std::string OutPath;
   std::uint64_t Events = 40;
 };
@@ -77,6 +79,15 @@ OptionOverrides parseOptions(int Argc, char **Argv, int First) {
       }
       return Argv[++I];
     };
+    auto NextNum = [&](std::uint64_t Max) -> std::uint64_t {
+      std::uint64_t V = 0;
+      const char *Text = Next();
+      if (!parseUnsigned(Text, Max, V)) {
+        std::fprintf(stderr, "bad value for %s: %s\n", A.c_str(), Text);
+        O.Ok = false;
+      }
+      return V;
+    };
     if (A == "--base")
       O.Base = true;
     else if (A == "--sync")
@@ -84,16 +95,15 @@ OptionOverrides parseOptions(int Argc, char **Argv, int First) {
     else if (A == "--line-grain")
       O.LineGrain = true;
     else if (A == "--banks")
-      O.Banks = static_cast<std::uint32_t>(std::atoi(Next()));
+      O.Banks = static_cast<std::uint32_t>(NextNum(UINT32_MAX));
     else if (A == "--history")
-      O.History = static_cast<std::uint32_t>(std::atoi(Next()));
-    else if (A == "--disable-after") {
-      O.DisableAfter = static_cast<std::uint64_t>(std::atoll(Next()));
-      O.HasDisableAfter = true;
-    } else if (A == "-o")
+      O.History = static_cast<std::uint32_t>(NextNum(UINT32_MAX));
+    else if (A == "--disable-after")
+      O.DisableAfter = NextNum(UINT64_MAX);
+    else if (A == "-o")
       O.OutPath = Next();
     else if (A == "--events")
-      O.Events = static_cast<std::uint64_t>(std::atoll(Next()));
+      O.Events = NextNum(UINT64_MAX);
     else {
       std::fprintf(stderr, "unknown option: %s\n", A.c_str());
       O.Ok = false;
@@ -102,15 +112,22 @@ OptionOverrides parseOptions(int Argc, char **Argv, int First) {
   return O;
 }
 
-void applyTracerOverrides(const OptionOverrides &O, sim::HydraConfig &Hw) {
+/// Applies the command-line overrides to \p Hw. Returns false, after
+/// reporting, when the result is a tracer geometry the engine cannot build.
+bool applyTracerOverrides(const OptionOverrides &O, sim::HydraConfig &Hw) {
   if (O.Sync)
     Hw.SyncCarriedLocals = true;
   if (O.LineGrain)
     Hw.ViolationGrain = sim::ViolationGranularity::Line;
   if (O.Banks)
-    Hw.ComparatorBanks = O.Banks;
+    Hw.ComparatorBanks = *O.Banks;
   if (O.History)
-    Hw.HeapTimestampFifoLines = O.History;
+    Hw.HeapTimestampFifoLines = *O.History;
+  std::string Why = sim::checkTracerGeometry(Hw);
+  if (Why.empty())
+    return true;
+  std::fprintf(stderr, "bad tracer geometry: %s\n", Why.c_str());
+  return false;
 }
 
 void printSelection(const tracer::SelectionResult &Selection) {
@@ -159,9 +176,10 @@ int cmdRecord(int Argc, char **Argv) {
       O.OutPath.empty() ? W->Name + ".jtrace" : O.OutPath;
   if (O.Base)
     Cfg.Level = jit::AnnotationLevel::Base;
-  if (O.HasDisableAfter)
-    Cfg.DisableLoopAfterThreads = O.DisableAfter;
-  applyTracerOverrides(O, Cfg.Hw);
+  if (O.DisableAfter)
+    Cfg.DisableLoopAfterThreads = *O.DisableAfter;
+  if (!applyTracerOverrides(O, Cfg.Hw))
+    return usage();
 
   pipeline::Jrpm J(W->Build(), Cfg);
   auto P = J.profileAndSelect();
@@ -228,9 +246,10 @@ int cmdReplay(int Argc, char **Argv) {
     return usage();
   trace::Reader R(Argv[2]);
   trace::ReplayConfig Cfg = trace::recordedConfig(R);
-  applyTracerOverrides(O, Cfg.Hw);
-  if (O.HasDisableAfter)
-    Cfg.DisableLoopAfterThreads = O.DisableAfter;
+  if (!applyTracerOverrides(O, Cfg.Hw))
+    return usage();
+  if (O.DisableAfter)
+    Cfg.DisableLoopAfterThreads = *O.DisableAfter;
 
   trace::ReplayOutcome Out = trace::selectFromTrace(R, Cfg);
   std::printf("replayed %s events of %s (%s)\n",
