@@ -6,12 +6,11 @@
 # Usage (how the tier-1 ctest invokes it — see tools/CMakeLists.txt):
 #   scripts/ci_cli_usage.sh --run-bin <jrpm-run> --trace-bin <jrpm-trace> \
 #     --sweep-bin <jrpm-sweep> --lint-bin <jrpm-lint> \
-#     --metrics-bin <jrpm-metrics> --serve-bin <jrpm-serve> \
-#     --corpus-bin <jrpm-corpus>
+#     --metrics-bin <jrpm-metrics> --corpus-bin <jrpm-corpus>
 
 set -uo pipefail
 
-RUN_BIN=""; TRACE_BIN=""; SWEEP_BIN=""; LINT_BIN=""; METRICS_BIN=""; SERVE_BIN=""; CORPUS_BIN=""
+RUN_BIN=""; TRACE_BIN=""; SWEEP_BIN=""; LINT_BIN=""; METRICS_BIN=""; CORPUS_BIN=""
 while [[ $# -gt 0 ]]; do
   case "$1" in
     --run-bin) RUN_BIN="$2"; shift 2 ;;
@@ -19,13 +18,12 @@ while [[ $# -gt 0 ]]; do
     --sweep-bin) SWEEP_BIN="$2"; shift 2 ;;
     --lint-bin) LINT_BIN="$2"; shift 2 ;;
     --metrics-bin) METRICS_BIN="$2"; shift 2 ;;
-    --serve-bin) SERVE_BIN="$2"; shift 2 ;;
     --corpus-bin) CORPUS_BIN="$2"; shift 2 ;;
     *) echo "unknown argument: $1" >&2; exit 2 ;;
   esac
 done
 
-for V in RUN_BIN TRACE_BIN SWEEP_BIN LINT_BIN METRICS_BIN SERVE_BIN CORPUS_BIN; do
+for V in RUN_BIN TRACE_BIN SWEEP_BIN LINT_BIN METRICS_BIN CORPUS_BIN; do
   if [[ -z "${!V}" ]]; then
     echo "missing --$(echo "${V%_BIN}" | tr 'A-Z' 'a-z')-bin" >&2
     exit 2
@@ -134,19 +132,6 @@ expect_usage "metrics: show no file"  "${METRICS_BIN}" show
 expect_usage "metrics: show junk"     "${METRICS_BIN}" show a.json extra
 expect_usage "metrics: diff one file" "${METRICS_BIN}" diff a.json
 
-# jrpm-serve
-expect_usage "serve: no args"          "${SERVE_BIN}"
-expect_usage "serve: bad subcommand"   "${SERVE_BIN}" destroy
-expect_usage "serve: serve no socket"  "${SERVE_BIN}" serve --store /tmp/s
-expect_usage "serve: serve no store"   "${SERVE_BIN}" serve --socket /tmp/a.sock
-expect_usage "serve: unknown option"   "${SERVE_BIN}" serve --socket a --store b --bogus
-expect_usage "serve: submit no socket" "${SERVE_BIN}" submit --workloads BitOps
-expect_usage "serve: submit mixed kinds" \
-  "${SERVE_BIN}" submit --socket a.sock --kind sweep --workload BitOps
-expect_usage "serve: status no socket" "${SERVE_BIN}" status
-expect_usage "serve: status with junk" "${SERVE_BIN}" status --socket a.sock extra
-expect_usage "serve: stats bad option" "${SERVE_BIN}" stats --socket a.sock -x
-
 # jrpm-corpus
 expect_usage "corpus: no args"          "${CORPUS_BIN}"
 expect_usage "corpus: bad subcommand"   "${CORPUS_BIN}" mutate
@@ -156,5 +141,21 @@ expect_usage "corpus: generate no tmpl" "${CORPUS_BIN}" generate
 expect_usage "corpus: generate count 0" "${CORPUS_BIN}" generate --template x --count 0
 expect_usage "corpus: shrink no repro"  "${CORPUS_BIN}" shrink
 expect_usage "corpus: stats with junk"  "${CORPUS_BIN}" stats extra
+# Numeric values parse strictly at option time, before any pool exists.
+expect_usage "corpus: threads junk"     "${CORPUS_BIN}" run --threads abc
+expect_usage "corpus: threads negative" "${CORPUS_BIN}" run --threads -1
+expect_usage "corpus: threads over cap" "${CORPUS_BIN}" run --threads 257
+expect_usage "corpus: count junk"       "${CORPUS_BIN}" generate --template x --count abc
+expect_usage "corpus: count negative"   "${CORPUS_BIN}" generate --template x --count -1
+expect_usage "corpus: count over cap"   "${CORPUS_BIN}" generate --template x --count 4294967296
+expect_usage "corpus: seed junk"        "${CORPUS_BIN}" run --seed 1x
+expect_usage "corpus: seed negative"    "${CORPUS_BIN}" run --seed -1
+expect_usage "corpus: seed overflow"    "${CORPUS_BIN}" run --seed 18446744073709551616
+expect_usage "corpus: variants junk"    "${CORPUS_BIN}" run --variants-per-template many
+expect_usage "corpus: variants negative" "${CORPUS_BIN}" run --variants-per-template -3
+expect_usage "corpus: variants over cap" "${CORPUS_BIN}" run --variants-per-template 4294967296
+expect_usage "corpus: inject-trip junk" "${CORPUS_BIN}" shrink --repro a.jrpm --inject-trip 2k
+expect_usage "corpus: inject-trip negative" "${CORPUS_BIN}" shrink --repro a.jrpm --inject-trip -1
+expect_usage "corpus: inject-trip over cap" "${CORPUS_BIN}" shrink --repro a.jrpm --inject-trip 9223372036854775808
 
 exit "${STATUS}"

@@ -2,7 +2,6 @@
 
 #include "exec/CodeImage.h"
 
-#include "metrics/Metrics.h"
 #include "support/Compiler.h"
 
 #include <list>
@@ -249,13 +248,4 @@ void CodeImage::clearCache() {
   C.Lru.clear();
   C.Capacity = DefaultCacheCapacity;
   C.Stats = ImageCacheStats();
-}
-
-void exec::exportImageCacheMetrics(metrics::Registry &R) {
-  ImageCacheStats S = CodeImage::cacheStats();
-  R.gauge("exec.image_cache.hits").peak(S.Hits);
-  R.gauge("exec.image_cache.misses").peak(S.Misses);
-  R.gauge("exec.image_cache.evictions").peak(S.Evictions);
-  R.gauge("exec.image_cache.entries").set(S.Entries);
-  R.gauge("exec.image_cache.capacity").set(S.Capacity);
 }

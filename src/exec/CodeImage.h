@@ -33,12 +33,6 @@
 #include <vector>
 
 namespace jrpm {
-namespace metrics {
-class Registry;
-} // namespace metrics
-} // namespace jrpm
-
-namespace jrpm {
 namespace exec {
 
 /// Absolute instruction index into a CodeImage. For a finalized module the
@@ -104,8 +98,8 @@ struct FuncDesc {
   std::uint32_t NumBlocks = 0;
 };
 
-/// Image-cache counters (diagnostics for benches and the serve daemon's
-/// stats endpoint; not exported as run metrics to keep the golden exports
+/// Image-cache counters (diagnostics for benches and the sweep report's
+/// timing section; not exported as run metrics to keep the golden exports
 /// stable).
 struct ImageCacheStats {
   std::uint64_t Hits = 0;
@@ -182,7 +176,7 @@ public:
   static std::shared_ptr<const CodeImage> getShared(const ir::Module &M);
   static ImageCacheStats cacheStats();
   /// Default LRU bound: generous for every sweep matrix we run (52
-  /// workload x level combinations) while capping a daemon's residency.
+  /// workload x level combinations) while capping a long run's residency.
   static constexpr std::size_t DefaultCacheCapacity = 256;
   /// Rebounds the LRU (minimum 1), evicting oldest entries immediately if
   /// the cache is over the new capacity. Returns the previous capacity.
@@ -204,13 +198,6 @@ private:
 /// Pc). Structurally identical modules — e.g. the same workload annotated
 /// at the same level by two sweep jobs — digest equal and share an image.
 std::uint64_t moduleDigest(const ir::Module &M);
-
-/// Snapshots the shared image cache's counters into \p R as gauges
-/// ("exec.image_cache.hits" / ".misses" / ".evictions" / ".entries" /
-/// ".capacity") — the daemon-hygiene view of the cache. Gauges, not
-/// counters: the snapshot is cumulative process state, not a per-run
-/// delta, and gauge merge (max) keeps repeated snapshots monotone.
-void exportImageCacheMetrics(metrics::Registry &R);
 
 } // namespace exec
 } // namespace jrpm

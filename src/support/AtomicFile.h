@@ -4,9 +4,8 @@
 // temporary file, fsync it, then rename over the target. A reader that
 // races the writer sees either the old file or the complete new one, and a
 // crash (or power loss) between any two steps leaves the target untouched —
-// the property the sweep report writer has always relied on and the serve
-// daemon's content-addressed artifact store now requires of every write
-// (a half-written artifact would be served as a cache hit forever).
+// the property every file jrpm-sweep, jrpm-run and jrpm-corpus write
+// relies on.
 //
 //===----------------------------------------------------------------------===//
 

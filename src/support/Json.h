@@ -72,8 +72,8 @@ public:
 
   /// Maximum container nesting depth parse() accepts. Deeper documents are
   /// rejected with a typed error instead of recursing toward a stack
-  /// overflow — a requirement now that the serve daemon parses frames from
-  /// untrusted sockets (depth bombs are a classic protocol attack).
+  /// overflow: parse() reads files the tools did not write (corpus repro
+  /// documents, metrics exports), and depth bombs are a classic attack.
   static constexpr int MaxParseDepth = 96;
 
   /// Parses \p Text (the subset this class emits: null, bool, numbers,

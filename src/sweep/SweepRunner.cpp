@@ -5,6 +5,7 @@
 #include "exec/CodeImage.h"
 #include "support/AtomicFile.h"
 #include "support/Format.h"
+#include "sweep/ThreadPool.h"
 #include "trace/Replay.h"
 #include "workloads/Workload.h"
 
@@ -167,32 +168,10 @@ SweepResult sweep::runJob(const SweepJob &Job) {
   return R;
 }
 
-namespace {
-
-/// Per-call completion latch: lets concurrent runSweepOn() callers share
-/// one pool without stealing each other's ThreadPool::wait() wakeups.
-struct JobLatch {
-  std::mutex M;
-  std::condition_variable Cv;
-  std::size_t Left;
-
-  explicit JobLatch(std::size_t N) : Left(N) {}
-  void done() {
-    std::lock_guard<std::mutex> Lock(M);
-    if (--Left == 0)
-      Cv.notify_all();
-  }
-  void wait() {
-    std::unique_lock<std::mutex> Lock(M);
-    Cv.wait(Lock, [this] { return Left == 0; });
-  }
-};
-
-} // namespace
-
-SweepReport sweep::runSweepOn(ThreadPool &Pool,
-                              const std::vector<SweepJob> &Jobs,
-                              metrics::Timeline *Timeline) {
+SweepReport sweep::runSweep(const std::vector<SweepJob> &Jobs,
+                            unsigned Threads,
+                            metrics::Timeline *Timeline) {
+  ThreadPool Pool(Threads);
   SweepReport Report;
   Report.Results.resize(Jobs.size());
   Report.Threads = Pool.threadCount();
@@ -205,10 +184,9 @@ SweepReport sweep::runSweepOn(ThreadPool &Pool,
       for (unsigned W = 0; W < Pool.threadCount(); ++W)
         WorkerTracks.push_back(
             Timeline->track("sweep", W, "worker" + std::to_string(W)));
-    JobLatch Latch(Jobs.size());
     for (const SweepJob &Job : Jobs)
       // Each job writes its preassigned slot; completion order is free.
-      Pool.submit([&Job, &Report, &Latch, Timeline, &WorkerTracks, T0] {
+      Pool.submit([&Job, &Report, Timeline, &WorkerTracks, T0] {
         int W = ThreadPool::currentWorker();
         bool Spanned = Timeline && W >= 0 &&
                        static_cast<std::size_t>(W) < WorkerTracks.size();
@@ -228,9 +206,8 @@ SweepReport sweep::runSweepOn(ThreadPool &Pool,
                             std::chrono::duration_cast<
                                 std::chrono::microseconds>(Clock::now() - T0)
                                 .count()));
-        Latch.done();
       });
-    Latch.wait();
+    Pool.wait();
   }
   Report.WallMs = msSince(T0);
   for (const SweepResult &R : Report.Results) {
@@ -247,13 +224,6 @@ SweepReport sweep::runSweepOn(ThreadPool &Pool,
     }
   }
   return Report;
-}
-
-SweepReport sweep::runSweep(const std::vector<SweepJob> &Jobs,
-                            unsigned Threads,
-                            metrics::Timeline *Timeline) {
-  ThreadPool Pool(Threads);
-  return runSweepOn(Pool, Jobs, Timeline);
 }
 
 metrics::Registry sweep::mergedMetrics(const SweepReport &R) {

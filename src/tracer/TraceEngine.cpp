@@ -345,11 +345,13 @@ std::uint32_t TraceEngine::onLoopIter(std::uint32_t LoopId,
                                       std::uint64_t Cycle) {
   ++Events.LoopIters;
   LastEventTime = Cycle;
-  BankFrame *Bank = findTraced(LoopId);
-  if (!Bank)
-    return isDisabled(LoopId) ? 0 : extraCost(Cfg.EoiCost);
-  iterateBank(LoopId, static_cast<std::size_t>(Bank->TracedIdx), Cycle);
-  return extraCost(Cfg.EoiCost);
+  // Decided before the boundary is applied, as for the other annotations:
+  // once the loop has been disabled its eoi is a nop (paper §5), even while
+  // the bank opened at entry keeps tracing to the end of the entry.
+  const std::uint32_t Cost = isDisabled(LoopId) ? 0 : extraCost(Cfg.EoiCost);
+  if (BankFrame *Bank = findTraced(LoopId))
+    iterateBank(LoopId, static_cast<std::size_t>(Bank->TracedIdx), Cycle);
+  return Cost;
 }
 
 void TraceEngine::closeBank(BankFrame &Bank, std::uint64_t Cycle) {

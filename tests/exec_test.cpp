@@ -14,7 +14,6 @@
 #include "exec/CodeImage.h"
 #include "interp/Trap.h"
 #include "jit/TlsPlan.h"
-#include "metrics/Metrics.h"
 
 #include <gtest/gtest.h>
 
@@ -277,24 +276,6 @@ TEST(CodeImageCache, ShrinkingCapacityEvictsImmediately) {
   exec::ImageCacheStats St = exec::CodeImage::cacheStats();
   EXPECT_EQ(St.Entries, 1u);
   EXPECT_EQ(St.Evictions, 3u);
-
-  exec::CodeImage::clearCache();
-}
-
-TEST(CodeImageCache, MetricsExportReflectsStats) {
-  exec::CodeImage::clearCache();
-  ir::Module A = makeMain(ret(c(5)));
-  A.finalize();
-  exec::CodeImage::getShared(A); // miss
-  exec::CodeImage::getShared(A); // hit
-
-  metrics::Registry R;
-  exec::exportImageCacheMetrics(R);
-  EXPECT_GE(R.gauge("exec.image_cache.hits").value(), 1u);
-  EXPECT_GE(R.gauge("exec.image_cache.misses").value(), 1u);
-  EXPECT_EQ(R.gauge("exec.image_cache.entries").value(), 1u);
-  EXPECT_EQ(R.gauge("exec.image_cache.capacity").value(),
-            exec::CodeImage::DefaultCacheCapacity);
 
   exec::CodeImage::clearCache();
 }

@@ -102,4 +102,15 @@ TEST(Pipeline, DisableAfterThreadsPinsLiveProfileCycles) {
   EXPECT_EQ(Jrpm(W->Build(), Default).profileAndSelect().Run.Cycles, 862031u);
   EXPECT_EQ(Jrpm(W->Build(), Disabling).profileAndSelect().Run.Cycles,
             861911u);
+  // The default eoi costs its own cycle only, so the figures above cannot
+  // show an eoi charge. At 3 cycles they do: the loops cross the threshold
+  // mid-entry, with their bank still open, and every later eoi of that
+  // entry is a nop (908,277 cycles if it kept charging).
+  PipelineConfig CostlyEoi;
+  CostlyEoi.Hw.EoiCost = 3;
+  EXPECT_EQ(Jrpm(W->Build(), CostlyEoi).profileAndSelect().Run.Cycles,
+            908397u);
+  CostlyEoi.DisableLoopAfterThreads = 100;
+  EXPECT_EQ(Jrpm(W->Build(), CostlyEoi).profileAndSelect().Run.Cycles,
+            862911u);
 }

@@ -11,6 +11,7 @@
 #include "TestUtil.h"
 #include "support/Json.h"
 #include "sweep/Conformance.h"
+#include "sweep/ThreadPool.h"
 #include "tracer/Selector.h"
 #include "workloads/Workload.h"
 

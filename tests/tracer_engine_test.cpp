@@ -717,13 +717,15 @@ TEST(TraceEngine, AnnotationChargesCostMinusOneUntilLoopIsDisabled) {
   EXPECT_EQ(E.onLoopEnd(0, 20), 6u);
   EXPECT_EQ(E.stats(0).Threads, 2u);
 
-  // Entry 2 is still traced. Its first eoi reaches the threshold, but an
-  // eoi on a traced bank keeps charging; the eloop that follows finds the
-  // loop disabled and charges nothing.
+  // Entry 2 is still traced. Its first eoi reaches the threshold and is
+  // charged (the loop was enabled when it issued); from then on the loop is
+  // disabled, so the second eoi and the closing eloop are nops (paper §5)
+  // although the bank keeps tracing to the end of the entry.
   EXPECT_EQ(E.onLoopStart(0, 1, 100), 4u);
   EXPECT_EQ(E.onLoopIter(0, 110), 2u);
   EXPECT_EQ(E.stats(0).Threads, 3u);
-  EXPECT_EQ(E.onLoopIter(0, 120), 2u);
+  EXPECT_EQ(E.onLoopIter(0, 120), 0u);
+  EXPECT_EQ(E.stats(0).Threads, 4u);
   EXPECT_EQ(E.onLoopEnd(0, 130), 0u);
 
   // Entry 3: disabled with no traced bank, so every annotation is free.

@@ -23,7 +23,8 @@
 //   --workloads a,b,c        extract from a workload subset
 //   --variants-per-template n  seeds per template (default 25)
 //   --seed n                 base seed (default 1)
-//   --threads n              pool width (default 1; 0 = hardware)
+//   --threads n              pool width, at most 256 (default 1;
+//                            0 = hardware)
 //   --quick                  cap the corpus at <= 200 variants (tier-1)
 //   --inject-trip n          plant a fault: variants whose trip-count
 //                            holes multiply to >= n are reported failing
@@ -40,8 +41,8 @@
 #include "support/Table.h"
 #include "workloads/Workload.h"
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <string>
@@ -80,6 +81,10 @@ std::vector<std::string> splitCommas(const std::string &S) {
   return Out;
 }
 
+/// Upper bound on --threads, as in jrpm-sweep: far above any host this
+/// runs on.
+constexpr std::uint32_t MaxThreads = 256;
+
 struct CliOptions {
   std::vector<std::string> Workloads;
   std::string TemplateId;
@@ -109,6 +114,17 @@ CliOptions parseCli(int Argc, char **Argv, int First) {
       }
       return Argv[++I];
     };
+    // Strict decimal values: a negative --threads must not wrap into a
+    // request for four billion workers.
+    auto NextNum = [&](std::uint64_t Max) -> std::uint64_t {
+      const char *Text = NextArg();
+      std::uint64_t V = 0;
+      if (O.Ok && !parseUnsigned(Text, Max, V)) {
+        std::fprintf(stderr, "bad value for %s: %s\n", A.c_str(), Text);
+        O.Ok = false;
+      }
+      return V;
+    };
     if (A == "--workloads") {
       O.Workloads = splitCommas(NextArg());
     } else if (A == "--template") {
@@ -116,16 +132,15 @@ CliOptions parseCli(int Argc, char **Argv, int First) {
     } else if (A == "--repro") {
       O.ReproPath = NextArg();
     } else if (A == "--seed") {
-      O.Seed = static_cast<std::uint64_t>(std::atoll(NextArg()));
+      O.Seed = NextNum(UINT64_MAX);
     } else if (A == "--count") {
-      O.Count = static_cast<std::uint32_t>(std::atoi(NextArg()));
+      O.Count = static_cast<std::uint32_t>(NextNum(UINT32_MAX));
     } else if (A == "--variants-per-template") {
-      O.VariantsPerTemplate =
-          static_cast<std::uint32_t>(std::atoi(NextArg()));
+      O.VariantsPerTemplate = static_cast<std::uint32_t>(NextNum(UINT32_MAX));
     } else if (A == "--threads") {
-      O.Threads = static_cast<std::uint32_t>(std::atoi(NextArg()));
+      O.Threads = static_cast<std::uint32_t>(NextNum(MaxThreads));
     } else if (A == "--inject-trip") {
-      O.InjectTrip = std::atoll(NextArg());
+      O.InjectTrip = static_cast<std::int64_t>(NextNum(INT64_MAX));
     } else if (A == "--quick") {
       O.Quick = true;
     } else if (A == "--no-shrink") {
